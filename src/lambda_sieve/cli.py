@@ -56,6 +56,19 @@ def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None
         )
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
     fields = _FIELDS[command]
     if args.format == "csv":
@@ -202,7 +215,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--workers", type=int, default=1, help="process count")
+    sp.add_argument("--workers", type=_int_at_least(1), default=1, help="process count")
     sp.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="output form"
     )
@@ -218,8 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scan-exceptional", help="Gauss-factorial power scan")
-    sp.add_argument("--m", type=int, required=True, help="divisor of p - 1")
-    sp.add_argument("--bound", type=int, required=True, help="prime upper bound")
+    sp.add_argument(
+        "--m", type=_int_at_least(2), required=True, help="divisor of p - 1"
+    )
+    sp.add_argument(
+        "--bound", type=_int_at_least(3), required=True, help="prime upper bound"
+    )
     sp.add_argument(
         "--all", action="store_true", help="emit every tested prime, not only hits"
     )

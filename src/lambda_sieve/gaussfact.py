@@ -11,6 +11,16 @@ independent evaluation routes are provided: the direct product, a
 Fermat-quotient form that costs O(p), and a Gauss-factorial-ratio form
 coming from Jacobi sums.  They must always agree; the verify module
 checks that they do.
+
+Scans do not run the O(p) route once per prime.  scan_exceptional
+rewrites its xi through n! and (p-1)! mod p**2, n = (p-1)/m, plus
+Lehmer's congruences for the harmonic number H_n, and gets those
+factorials for every prime of the range in one quasi-linear pass of an
+accumulating remainder tree (_xi_batch, _factorial_residues).  The
+single-prime _xi_fq stays as the entry point for one prime and as the
+oracle the batched values are tested against.  The pass runs in one
+process, whatever worker count is passed; a checkpoint is written every
+6400 primes as the walk finishes them, in increasing p.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +38,7 @@ from . import _kernels
 from .modmath import (
     PrimeRange,
     Residue,
+    fermat_quotient,
     harmonic_mod,
     is_probable_prime,
     wilson_quotient,
@@ -235,11 +246,6 @@ def cut_point_congruence_check(p: int, n: int) -> bool:
     return pow(third, 24, M) == pow(sixth, 12, M)
 
 
-def _fq_block(args: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:
-    m, primes = args
-    return [(p, _xi_fq(p, m)) for p in primes]
-
-
 def _write_checkpoint(path: str, payload: dict) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -260,8 +266,106 @@ def _read_checkpoint(path: str) -> dict | None:
         return json.load(fh)
 
 
-_SCAN_BLOCK = 64
-_SCAN_CHECKPOINT_BLOCKS = 100
+# (p, xi) pairs found between two checkpoint writes
+_SCAN_CHECKPOINT_PRIMES = 6400
+
+
+def _factorial_residues(xs: Sequence[int], moduli: Sequence[int]) -> Iterator[int]:
+    """x! mod M for each pair (x, M) of xs and moduli, in order; xs nondecreasing.
+
+    One accumulating remainder tree (Costa, Gerbicz and Harvey, "A search
+    for Wilson primes", Math. Comp. 2014) over the gap products
+    g_k = prod(x_{k-1} < j <= x_k).  A node receives V, the product of
+    the gaps left of it reduced mod the product of its moduli; its left
+    child gets V mod M_left and its right child V * A_left mod M_right,
+    with A_left the gap product of the left subtree.  The walk is depth
+    first and returns each subtree's gap product rather than storing a
+    product tree, so besides the moduli tree only the products along one
+    root-to-leaf path are alive.  Leaves come out in order, so a caller
+    can act on a prefix before the walk ends.
+    """
+    tree = [list(moduli)]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        up = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            up.append(level[-1])
+        tree.append(up)
+    if tree[0]:
+        yield from _walk(tree, xs, len(tree) - 1, 0, 1, False)
+
+
+def _walk(
+    tree: list[list[int]], xs: Sequence[int], depth: int, j: int, v: int, need: bool
+):
+    """Yield the leaves under node (depth, j); return its gap product if need."""
+    if depth == 0:
+        gap = math.prod(range(xs[j - 1] + 1 if j else 1, xs[j] + 1))
+        yield v * gap % tree[0][j]
+        return gap
+    below = tree[depth - 1]
+    left, right = 2 * j, 2 * j + 1
+    if right == len(below):  # odd node carried up unpaired
+        return (yield from _walk(tree, xs, depth - 1, left, v, need))
+    a = yield from _walk(tree, xs, depth - 1, left, v % below[left], True)
+    b = yield from _walk(tree, xs, depth - 1, right, v * a % below[right], need)
+    return a * b if need else None
+
+
+# Lehmer (Ann. Math. 1938): 2 H_{(p-1)/m} = a q_p(2) + b q_p(3) (mod p)
+_LEHMER = {2: (-4, 0), 3: (0, -3), 4: (-6, 0), 6: (-4, -3)}
+
+
+def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(p, xi) for an increasing sequence of primes p = 1 (mod m), in order.
+
+    The xi of _xi_fq, rewritten with q_p(ab) = q_p(a) + q_p(b) as
+
+        xi = (H_n - w_p)/m + q_p(n!)  (mod p),   n = (p-1)/m,
+
+    so each prime needs only n! and (p-1)! mod p**2, which
+    _factorial_residues gives for all primes in one pass.  H_n comes
+    from Lehmer's congruences when m is in _LEHMER; for any other m from
+    a third point, (p+n)! mod p**3 = p (p-1)! prod_{j<=n} (p+j), using
+    prod_{j<=n} (p+j) = n! (1 + p H_n) (mod p**2).
+    """
+    if not primes:
+        return
+    lehmer = _LEHMER.get(m)
+    ps = np.asarray(primes, dtype=np.int64)
+    n = (ps - 1) // m
+    cols = [n, ps - 1] if lehmer else [n, ps - 1, ps + n]
+    xs = np.concatenate(cols)
+    order = np.argsort(xs, kind="stable")
+    owner = (order % ps.size).tolist()  # point k belongs to primes[owner[k]]
+    moduli = [
+        p ** (3 if col == 2 else 2)
+        for p, col in zip(ps[owner].tolist(), (order // ps.size).tolist())
+    ]
+    xs = xs[order].tolist()
+    del order
+    found: dict[int, list[int]] = {}
+    for i, r in zip(owner, _factorial_residues(xs, moduli)):
+        got = found.setdefault(i, [])
+        got.append(r)
+        if len(got) < len(cols):
+            continue
+        del found[i]
+        p = primes[i]
+        fact_n, fact_p = got[0], got[1]
+        w = (fact_p + 1) // p  # Wilson quotient: (p-1)! = -1 + w p (mod p**2)
+        if lehmer is None:
+            p2 = p * p
+            u = r // p * pow(fact_p * fact_n, -1, p2) % p2
+            h = (u - 1) // p
+        else:
+            a, b = lehmer
+            h2 = a * int(fermat_quotient(2, p))
+            if b:
+                h2 += b * int(fermat_quotient(3, p))
+            h = h2 * pow(2, -1, p)
+        xi = (pow(m, -1, p) * (h - w) + int(fermat_quotient(fact_n, p))) % p
+        yield p, xi
 
 
 def scan_exceptional(
@@ -273,14 +377,20 @@ def scan_exceptional(
 ) -> list[ExceptionalVerdict]:
     """Test every prime p = 1 (mod m) in [start, bound] for exceptionality.
 
-    Returns one ExceptionalVerdict per prime, in increasing order; the
-    result does not depend on the worker count.  With checkpoint set,
-    finished (p, xi) pairs are saved every 100 blocks of 64 primes and a
-    rerun with the same m and start resumes after the last saved prime.
+    Returns one ExceptionalVerdict per prime, in increasing order, with
+    the xi of _xi_fq.  The primes are done together in one pass of
+    _xi_batch, an accumulating remainder tree, rather than with O(p)
+    work each; workers is accepted for API compatibility and starts no
+    processes.  With checkpoint set, the (p, xi) pairs found so far are
+    saved after every 6400 new primes and at the end, and a rerun with
+    the same m and start resumes after the last saved prime.  A rerun
+    with a smaller bound returns the saved pairs with p <= bound.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    lo = max(start, 3)
+    lo = first = max(start, 3)
+    if bound < first:
+        raise ValueError("empty range")
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
         saved = _read_checkpoint(checkpoint)
@@ -288,43 +398,26 @@ def scan_exceptional(
             saved is not None
             and saved.get("kind") == "scan_exceptional"
             and saved.get("m") == m
-            and saved.get("start") == lo
+            and saved.get("start") == first
         ):
             pairs = [(p, x) for p, x in saved["pairs"] if p <= bound]
             lo = max(lo, saved["next_start"])
-    primes = list(PrimeRange(lo, bound, (m, 1 % m)))
-    blocks = [
-        (m, tuple(primes[i : i + _SCAN_BLOCK]))
-        for i in range(0, len(primes), _SCAN_BLOCK)
-    ]
-
-    def _flush(block_index: int) -> None:
-        if checkpoint is None:
-            return
-        if (block_index + 1) % _SCAN_CHECKPOINT_BLOCKS and block_index + 1 < len(
-            blocks
+    primes = list(PrimeRange(lo, bound, (m, 1 % m))) if lo <= bound else []
+    for done, pair in enumerate(_xi_batch(m, primes), 1):
+        pairs.append(pair)
+        if checkpoint is not None and (
+            done % _SCAN_CHECKPOINT_PRIMES == 0 or done == len(primes)
         ):
-            return
-        _write_checkpoint(
-            checkpoint,
-            {
-                "kind": "scan_exceptional",
-                "m": m,
-                "start": max(start, 3),
-                "next_start": pairs[-1][0] + 1 if pairs else lo,
-                "pairs": [list(t) for t in pairs],
-            },
-        )
-
-    if workers <= 1:
-        for i, block in enumerate(blocks):
-            pairs.extend(_fq_block(block))
-            _flush(i)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, part in enumerate(pool.map(_fq_block, blocks)):
-                pairs.extend(part)
-                _flush(i)
+            _write_checkpoint(
+                checkpoint,
+                {
+                    "kind": "scan_exceptional",
+                    "m": m,
+                    "start": first,
+                    "next_start": pair[0] + 1,
+                    "pairs": [list(t) for t in pairs],
+                },
+            )
     return [
         ExceptionalVerdict(
             p=p,

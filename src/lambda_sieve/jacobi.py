@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .gaussfact import _xi_fq
+from .gaussfact import _xi_batch
 from .modmath import PrimeRange, Residue, is_probable_prime
 from .quadfields import QuadField, character_table, splits
 
@@ -276,8 +276,9 @@ def cornacchia_gold(
 def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
     """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
 
-    Maximal fields with D in {4, 6} go through the O(p) Fermat-quotient
-    route; every other field runs the Jacobi-sum criterion per prime.
+    Maximal fields with D in {4, 6} go through the Fermat-quotient route,
+    all primes in one pass of gaussfact._xi_batch; every other field runs
+    the Jacobi-sum criterion per prime, fanned out over workers processes.
     The worker count does not affect the result.
     """
     rows = _scan_all(field, bound, workers)
@@ -286,35 +287,25 @@ def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVe
 
 def _scan_block(args: tuple[QuadField, tuple[int, ...]]) -> list[LambdaVerdict]:
     field, primes = args
-    out = []
-    for p in primes:
-        out.extend(_scan_rows_single(field, p))
-    return out
-
-
-def _scan_rows_single(field: QuadField, p: int) -> list[LambdaVerdict]:
-    D = field.D
-    if field.maximal and D in (4, 6):
-        m = 4 if D == 4 else 3
-        xi = _xi_fq(p, m)
-        value = (1 + xi * p) % (p * p)  # (1+p)**xi mod p**2
-        return [
-            LambdaVerdict(
-                field=field,
-                p=p,
-                r=1,
-                method="fermat_quotient",
-                criterion_value=Residue(value, p * p),
-                verdict=xi == 0,
-            )
-        ]
-    return [lambda_criterion_jacobi(field, p)]
+    return [lambda_criterion_jacobi(field, p) for p in primes]
 
 
 def _scan_all(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
     from concurrent.futures import ProcessPoolExecutor
 
     primes = list(PrimeRange(3, bound, (field.D, 1 % field.D)))
+    if field.maximal and field.D in (4, 6):
+        return [
+            LambdaVerdict(
+                field=field,
+                p=p,
+                r=1,
+                method="fermat_quotient",
+                criterion_value=Residue(1 + xi * p, p * p),  # (1+p)**xi mod p**2
+                verdict=xi == 0,
+            )
+            for p, xi in _xi_batch(4 if field.D == 4 else 3, primes)
+        ]
     if workers <= 1:
         return _scan_block((field, tuple(primes)))
     blocks = [

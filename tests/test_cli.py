@@ -73,6 +73,21 @@ class TestScanExceptional:
         rc, _ = run_cli(capsys, "scan-exceptional", "--m", "3", "--bound", "100")
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--m", "1", "--bound", "100"],
+            ["--m", "3", "--bound", "2"],
+            ["--m", "3", "--bound", "100", "--workers", "0"],
+            ["--m", "3", "--bound", "100", "--workers", "-2"],
+        ],
+    )
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-exceptional", *argv])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
 
 class TestScanLambda:
     def test_text_and_csv(self, capsys):
@@ -85,6 +100,17 @@ class TestScanLambda:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [r[1] for r in rows] == ["13", "181", "2521"]
         assert all(r[3] == "1" for r in rows)
+
+    def test_worker_byte_identity(self, capsys):
+        for d in ("1", "3"):
+            outs = [
+                run_cli(
+                    capsys, "scan-lambda", "--d", d, "--bound", "3000",
+                    "--workers", w, "--format", "csv",
+                )[1]
+                for w in ("1", "2")
+            ]
+            assert outs[0] == outs[1], d
 
     def test_json_value_is_string(self, capsys):
         rc, out = run_cli(

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_sieve import gaussfact
 from lambda_sieve.gaussfact import (
+    _LEHMER,
+    _xi_batch,
+    _xi_fq,
     cut_point_congruence_check,
     exceptional_direct,
     exceptional_fq,
@@ -14,7 +18,7 @@ from lambda_sieve.gaussfact import (
     gauss_factorial,
     scan_exceptional,
 )
-from lambda_sieve.modmath import PrimeRange, sieve_primes
+from lambda_sieve.modmath import PrimeRange, fermat_quotient, harmonic_mod, sieve_primes
 from lambda_sieve.quadfields import make_field
 
 
@@ -171,3 +175,73 @@ class TestScan:
         assert scan_exceptional(3, 4000, checkpoint=str(cp)) == full
         # a different m must not pick up the stored pairs
         assert scan_exceptional(4, 2000, checkpoint=str(cp)) == scan_exceptional(4, 2000)
+
+    def test_resume_past_bound(self, tmp_path):
+        # the saved next_start (2522) lies beyond both rerun bounds
+        cp = tmp_path / "state.json"
+        full = scan_exceptional(3, 2521, checkpoint=str(cp))
+        assert json.loads(cp.read_text())["next_start"] == 2522
+        assert scan_exceptional(3, 2521, checkpoint=str(cp)) == full
+        assert scan_exceptional(3, 2000, checkpoint=str(cp)) == [
+            v for v in full if v.p <= 2000
+        ]
+
+    def test_interrupted_scan_resumes(self, tmp_path, monkeypatch):
+        class Killed(Exception):
+            pass
+
+        cp = tmp_path / "state.json"
+        write = gaussfact._write_checkpoint
+        written = []
+
+        def write_then_die(path, payload):
+            write(path, payload)
+            written.append(payload["next_start"])
+            if len(written) == 2:
+                raise Killed
+
+        monkeypatch.setattr(gaussfact, "_SCAN_CHECKPOINT_PRIMES", 50)
+        monkeypatch.setattr(gaussfact, "_write_checkpoint", write_then_die)
+        with pytest.raises(Killed):
+            scan_exceptional(3, 4000, checkpoint=str(cp))
+        assert len(json.loads(cp.read_text())["pairs"]) == 100
+        monkeypatch.undo()
+        assert scan_exceptional(3, 4000, checkpoint=str(cp)) == scan_exceptional(3, 4000)
+
+
+def _xi_reference(m, bound):
+    return [(p, _xi_fq(p, m)) for p in sieve_primes(PrimeRange(3, bound, (m, 1)))]
+
+
+def _pairs(rows):
+    return [(v.p, int(v.xi)) for v in rows]
+
+
+class TestBatchedXi:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 12])
+    def test_equals_single_prime_route(self, m, tmp_path):
+        ref = _xi_reference(m, 20000)
+        assert list(_xi_batch(m, [p for p, _ in ref])) == ref
+        tail = scan_exceptional(m, 20000, start=7919)
+        assert _pairs(tail) == [(p, x) for p, x in ref if p >= 7919]
+        cp = str(tmp_path / "state.json")
+        scan_exceptional(m, 9000, checkpoint=cp)
+        assert _pairs(scan_exceptional(m, 20000, checkpoint=cp)) == ref
+
+    def test_lehmer_harmonic_congruences(self):
+        for m, (a, b) in _LEHMER.items():
+            for p in sieve_primes(PrimeRange(3, 3000, (m, 1))):
+                twice_h = a * int(fermat_quotient(2, p))
+                if b:
+                    twice_h += b * int(fermat_quotient(3, p))
+                assert int(harmonic_mod((p - 1) // m, p)) == twice_h * pow(2, -1, p) % p
+
+    def test_empty_and_single(self):
+        assert list(_xi_batch(3, [])) == []
+        assert list(_xi_batch(5, [11])) == [(11, _xi_fq(11, 5))]
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_equals_single_prime_route_to_1e5(self, m):
+        ref = _xi_reference(m, 10**5)
+        assert list(_xi_batch(m, [p for p, _ in ref])) == ref
