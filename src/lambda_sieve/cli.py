@@ -130,7 +130,10 @@ def cmd_scan_exceptional(args, parser) -> int:
 
 def cmd_scan_lambda(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    field = make_field(args.d)
+    try:
+        field = make_field(args.d)
+    except ValueError as exc:
+        parser.error(f"--d {args.d}: {exc}")
     hits = scan_lambda(field, args.bound, workers=args.workers)
     rows = [
         {"d": args.d, "p": v.p, "method": v.method, "value": int(v.criterion_value)}
@@ -245,24 +248,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_scan_exceptional)
 
     sp = sub.add_parser("scan-lambda", help="scan one field for non-trivial primes")
-    sp.add_argument("--d", type=int, required=True, help="squarefree parameter")
-    sp.add_argument("--bound", type=int, required=True, help="prime upper bound")
+    sp.add_argument(
+        "--d", type=_int_at_least(1), required=True, help="squarefree parameter"
+    )
+    sp.add_argument(
+        "--bound", type=_int_at_least(3), required=True, help="prime upper bound"
+    )
     _add_common(sp)
     sp.set_defaults(fn=cmd_scan_lambda)
 
     sp = sub.add_parser("pell", help="prime-index Pell candidates")
-    sp.add_argument("--q-bound", type=int, required=True, help="index upper bound")
+    sp.add_argument(
+        "--q-bound", type=_int_at_least(3), required=True, help="index upper bound"
+    )
     sp.add_argument("--checkpoint", default=None, help="resume file path")
     _add_common(sp)
     sp.set_defaults(fn=cmd_pell)
 
     sp = sub.add_parser("glaisher-table", help="G_(p-1) residues mod p**2")
-    sp.add_argument("--bound", type=int, default=200, help="prime upper bound")
+    sp.add_argument(
+        "--bound", type=_int_at_least(7), default=200, help="prime upper bound"
+    )
     _add_common(sp)
     sp.set_defaults(fn=cmd_glaisher_table)
 
     sp = sub.add_parser("euler-check", help="E_(p-1) residues mod p**2")
-    sp.add_argument("--bound", type=int, default=200, help="prime upper bound")
+    sp.add_argument(
+        "--bound", type=_int_at_least(5), default=200, help="prime upper bound"
+    )
     _add_common(sp)
     sp.set_defaults(fn=cmd_euler_check)
 

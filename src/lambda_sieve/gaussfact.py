@@ -25,10 +25,7 @@ process, whatever worker count is passed; a checkpoint is written every
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,6 +35,8 @@ from . import _kernels
 from .modmath import (
     PrimeRange,
     Residue,
+    _read_checkpoint,
+    _write_checkpoint,
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
@@ -79,17 +78,6 @@ class ExceptionalVerdict:
             raise ValueError("verdict inconsistent with xi")
 
 
-def _coprime_product(N: int, p: int, modulus: int) -> int:
-    """Product of 1..N skipping multiples of the prime p, mod modulus."""
-    acc = 1 % modulus
-    for lo in range(1, N + 1, _CHUNK):
-        seg = np.arange(lo, min(N, lo + _CHUNK - 1) + 1, dtype=np.int64)
-        if p <= N:
-            seg = seg[seg % p != 0]
-        acc = acc * _kernels.prod_mod(seg % modulus, modulus) % modulus
-    return acc
-
-
 def gauss_factorial(N: int, n: int, modulus: int) -> Residue:
     """N_n! mod modulus: the product of i <= N with gcd(i, n) = 1."""
     if N < 0:
@@ -98,11 +86,21 @@ def gauss_factorial(N: int, n: int, modulus: int) -> Residue:
         raise ValueError("N too large for int64 enumeration")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
+    qs = []  # the primes q <= N that divide n
+    rest, q = n, 2
+    while q <= N and q * q <= rest:
+        if rest % q == 0:
+            qs.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1 if q == 2 else 2
+    if 1 < rest <= N:
+        qs.append(rest)
     acc = 1 % modulus
     for lo in range(1, N + 1, _CHUNK):
         seg = np.arange(lo, min(N, lo + _CHUNK - 1) + 1, dtype=np.int64)
-        if n > 1:
-            seg = seg[np.gcd(seg, n) == 1]
+        for q in qs:
+            seg = seg[seg % q != 0]
         acc = acc * _kernels.prod_mod(seg % modulus, modulus) % modulus
     return Residue(acc, modulus)
 
@@ -119,7 +117,7 @@ def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
     if modulus >= 1 << 61:
         raise ValueError("p**(alpha+1) out of int64 range")
     N = (modulus - 1) // m
-    g = _coprime_product(N, p, modulus)
+    g = int(gauss_factorial(N, p, modulus))
     power = pow(g, p - 1, modulus)
     xi = Residue((power - 1) // p, p**alpha)
     return ExceptionalVerdict(
@@ -176,8 +174,8 @@ def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
     (i*(p**(2r) - 1)/(D/2))_p! / ((i*(p**(2r) - 1)/D)_p!)**2  mod p**2.
     """
     M = p ** (2 * r)
-    half = _coprime_product(i * ((M - 1) // (D // 2)), p, p2)
-    full = _coprime_product(i * ((M - 1) // D), p, p2)
+    half = int(gauss_factorial(i * ((M - 1) // (D // 2)), p, p2))
+    full = int(gauss_factorial(i * ((M - 1) // D), p, p2))
     return half * pow(full * full % p2, -1, p2) % p2
 
 
@@ -241,29 +239,9 @@ def cut_point_congruence_check(p: int, n: int) -> bool:
     M = p**n
     if M >= 1 << 61:
         raise ValueError("p**n out of int64 range")
-    third = _coprime_product((M - 1) // 3, p, M)
-    sixth = _coprime_product((M - 1) // 6, p, M)
+    third = int(gauss_factorial((M - 1) // 3, p, M))
+    sixth = int(gauss_factorial((M - 1) // 6, p, M))
     return pow(third, 24, M) == pow(sixth, 12, M)
-
-
-def _write_checkpoint(path: str, payload: dict) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_checkpoint(path: str) -> dict | None:
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # (p, xi) pairs found between two checkpoint writes

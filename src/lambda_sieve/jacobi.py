@@ -11,21 +11,23 @@ that numeric pinning and is wired through _PSI_SIGN so tests can flip
 it and watch the oracle-equivalence checks fail.
 
 An independent route needs no characters at all: for class number one,
-writing p (or 4p) as x**2 + d y**2 embeds the ideal generator into the
-integers mod p**2 directly, and the criterion is Gold's original one.
+writing p (or 4p) as x**2 + d y**2 with one Cornacchia routine embeds the
+ideal generator into the integers mod p**2 directly, and the criterion
+is Gold's original one.  Scans over the Jacobi route fan out per prime
+through modmath.fan_out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import _kernels
 from .gaussfact import _xi_batch
-from .modmath import PrimeRange, Residue, is_probable_prime
+from .modmath import PrimeRange, Residue, fan_out, is_probable_prime
 from .quadfields import QuadField, character_table, splits
 
 __all__ = [
@@ -177,36 +179,25 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 
 
 def _cornacchia(d: int, p: int) -> tuple[int, int] | None:
-    """Solve x**2 + d y**2 = p with x, y > 0, if possible."""
-    t = _sqrt_mod_prime(-d % p, p)
-    if t is None:
-        return None
-    t = max(t, p - t)
-    a, b = p, t
-    lim = math.isqrt(p)
-    while b > lim:
-        a, b = b, a % b
-    rem = p - b * b
-    if rem % d:
-        return None
-    y = math.isqrt(rem // d)
-    if y * y * d != rem:
-        return None
-    return b, y
+    """Solve x**2 + d y**2 = k p with x, y > 0, if possible.
 
-
-def _cornacchia4(d: int, p: int) -> tuple[int, int] | None:
-    """Solve a**2 + d b**2 = 4p with a, b > 0 (d odd), if possible."""
+    k = 4 when d = 3 (mod 4) and k = 1 otherwise.  Cornacchia's algorithm
+    in one form for both (Cohen, Alg. 1.5.2 and 1.5.3): Euclid on
+    (sqrt(k) p, t), with t an odd square root of -d mod p, stops at the
+    first remainder x <= sqrt(k p).  An odd t keeps x = d (mod 2), which
+    k = 4 needs; for k = 1 every root yields the same x.
+    """
+    r = 2 if d % 4 == 3 else 1
     t = _sqrt_mod_prime(-d % p, p)
     if t is None:
         return None
     if t % 2 == 0:
-        t = p - t  # need an odd starting value so a stays odd mod 2p
-    a, b = 2 * p, t
-    lim = math.isqrt(4 * p)
+        t = p - t
+    a, b = r * p, t
+    lim = math.isqrt(r * r * p)
     while b > lim:
         a, b = b, a % b
-    rem = 4 * p - b * b
+    rem = r * r * p - b * b
     if rem % d:
         return None
     y = math.isqrt(rem // d)
@@ -242,21 +233,14 @@ def cornacchia_gold(
         s = root % p2
     if (s * s + d) % p2:
         raise ValueError("root**2 + d is not 0 mod p**2")
-    if d % 4 == 3:
-        sol = _cornacchia4(d, p)
-        if sol is None:
-            raise CriterionInapplicable(f"4p not represented by x^2+{d}y^2")
-        x, y = sol
-        inv2 = pow(2, -1, p2)
-        e1 = (x + y * s) * inv2 % p2
-        e2 = (x - y * s) * inv2 % p2
-    else:
-        sol = _cornacchia(d, p)
-        if sol is None:
-            raise CriterionInapplicable(f"p not represented by x^2+{d}y^2")
-        x, y = sol
-        e1 = (x + y * s) % p2
-        e2 = (x - y * s) % p2
+    sol = _cornacchia(d, p)
+    if sol is None:
+        kp = "4p" if d % 4 == 3 else "p"
+        raise CriterionInapplicable(f"{kp} not represented by x^2+{d}y^2")
+    x, y = sol
+    half = pow(2, -1, p2) if d % 4 == 3 else 1  # (x + y sqrt(-d))/2 when k = 4
+    e1 = (x + y * s) * half % p2
+    e2 = (x - y * s) * half % p2
     if (e1 * e2 - p) % p2:
         raise AssertionError("embedding sanity check failed")
     unit = e1 if e1 % p else e2
@@ -278,21 +262,14 @@ def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVe
 
     Maximal fields with D in {4, 6} go through the Fermat-quotient route,
     all primes in one pass of gaussfact._xi_batch; every other field runs
-    the Jacobi-sum criterion per prime, fanned out over workers processes.
-    The worker count does not affect the result.
+    the Jacobi-sum criterion per prime through modmath.fan_out over
+    workers processes.  The worker count does not affect the result.
     """
     rows = _scan_all(field, bound, workers)
     return [v for v in rows if v.verdict]
 
 
-def _scan_block(args: tuple[QuadField, tuple[int, ...]]) -> list[LambdaVerdict]:
-    field, primes = args
-    return [lambda_criterion_jacobi(field, p) for p in primes]
-
-
 def _scan_all(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
-    from concurrent.futures import ProcessPoolExecutor
-
     primes = list(PrimeRange(3, bound, (field.D, 1 % field.D)))
     if field.maximal and field.D in (4, 6):
         return [
@@ -306,13 +283,4 @@ def _scan_all(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerd
             )
             for p, xi in _xi_batch(4 if field.D == 4 else 3, primes)
         ]
-    if workers <= 1:
-        return _scan_block((field, tuple(primes)))
-    blocks = [
-        (field, tuple(primes[i : i + 64])) for i in range(0, len(primes), 64)
-    ]
-    out: list[LambdaVerdict] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_block, blocks):
-            out.extend(part)
-    return out
+    return list(fan_out(partial(lambda_criterion_jacobi, field), primes, workers))

@@ -2,15 +2,21 @@
 
 Everything here works with plain Python integers or numpy int64 arrays;
 the bulk paths live in _kernels and are wrapped by the table functions
-below.
+below.  As the bottom layer, this module also holds the primitives every
+route above shares: the Kronecker symbol, the one process fan-out
+(fan_out) and the atomic JSON checkpoint I/O of the resumable searches.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,12 +33,13 @@ __all__ = [
     "mod_pow",
     "teichmuller_lift",
     "fermat_quotient",
-    "fermat_quotient_table",
     "wilson_quotient",
     "harmonic_mod",
     "sieve_primes",
     "is_probable_prime",
     "MR_DETERMINISTIC_BOUND",
+    "kronecker",
+    "fan_out",
 ]
 
 
@@ -134,19 +141,6 @@ def fermat_quotient(a: int, p: int) -> Residue:
     return Residue((pow(a, p - 1, p * p) - 1) // p, p)
 
 
-def fermat_quotient_table(p: int, bound: int) -> np.ndarray:
-    """q_p(a) for a = 1..bound as an int64 array indexed by a.
-
-    Index 0 and indices divisible by p hold the sentinel -1.  bound
-    must be below p**2.  Exponentiation happens only at prime indices;
-    composite entries come from q_p(ab) = q_p(a) + q_p(b) over a
-    smallest-prime-factor sieve.
-    """
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    return _kernels.fq_table(p, bound)
-
-
 def wilson_quotient(p: int) -> Residue:
     """w_p = ((p-1)! + 1)/p mod p, computed from (p-1)! mod p**2.
 
@@ -209,8 +203,6 @@ def _prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)
         seg = np.ones(stop - start + 1, dtype=bool)
-        if start == 1:
-            seg[0] = False
         for q in base:
             q = int(q)
             first = max(q * q, ((start + q - 1) // q) * q)
@@ -255,20 +247,32 @@ def _mr_witness(n, a) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a | n) for odd n > 0."""
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a | n), fully multiplicative extension of Legendre."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    k = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            k = -k
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            k = -k
     a %= n
-    result = 1
     while a:
         while a % 2 == 0:
             a //= 2
             if n % 8 in (3, 5):
-                result = -result
+                k = -k
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
-            result = -result
+            k = -k
         a %= n
-    return result if n == 1 else 0
+    return k if n == 1 else 0
 
 
 def _strong_lucas(n) -> bool:
@@ -277,7 +281,7 @@ def _strong_lucas(n) -> bool:
         return False
     d = 5
     while True:
-        j = _jacobi(d, int(n))
+        j = kronecker(d, int(n))
         if j == -1:
             break
         if j == 0:
@@ -349,3 +353,43 @@ def primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise ValueError(f"{p} is not an odd prime")
+
+
+def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """fn over items, yielded in input order, in workers processes.
+
+    With workers <= 1 this is plain map in this process; otherwise one
+    ProcessPoolExecutor serves the whole sequence, so fn and the items
+    must pickle.  Results stream as they complete in order, and closing
+    the iterator early cancels the work not yet started and shuts the
+    pool down.  The chunk size follows from the inputs: about 64 chunks
+    per worker, at least one item each.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    chunk = max(1, len(items) // (64 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunk)
+
+
+def _write_checkpoint(path: str, payload: dict) -> None:
+    """Write payload as JSON to path atomically (temp file, then rename)."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _read_checkpoint(path: str) -> dict | None:
+    """The JSON payload saved at path, or None when there is no file."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh)

@@ -7,17 +7,26 @@ yields a composite value, which the tests pin down).  The companion
 sequence y_0 = 0, y_1 = 1 with the same recurrence gives the witness
 x = (y_q - 1)/2 tying p to the Pell identity
 (2p)**2 - 3 (2x + 1)**2 = 1.
+
+The search runs the recurrence once and classifies the candidates in
+order through modmath.fan_out, one process pool per search; its
+checkpoint is the JSON state of the recurrence plus the records so far.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernels
-from .gaussfact import _read_checkpoint, _write_checkpoint, exceptional_fq
-from .modmath import MR_DETERMINISTIC_BOUND, is_probable_prime
+from .gaussfact import exceptional_fq
+from .modmath import (
+    MR_DETERMINISTIC_BOUND,
+    _read_checkpoint,
+    _write_checkpoint,
+    fan_out,
+    is_probable_prime,
+)
 
 try:
     from gmpy2 import mpz
@@ -105,6 +114,8 @@ def _classify(q: int, p: int, x: int) -> PellRecord:
 
 
 def _classify_args(args: tuple[int, int, int]) -> PellRecord:
+    # the pool's entry point: pickled by name, it finds _classify at call
+    # time, so a wrapped _classify (perfbench's tracer) still runs in workers
     return _classify(*args)
 
 
@@ -115,10 +126,14 @@ def pell_search(
 ) -> list[PellRecord]:
     """Candidates p = u_q / 4 for odd prime q <= q_bound, composites dropped.
 
-    Runs the recurrence once, classifying candidates at prime indices
-    by trial division below 10**6 and then a primality test.  With
-    checkpoint set, recurrence state is saved every 100 indices and the
-    search resumes from the last saved position.
+    Runs the recurrence once, then classifies the candidates at prime
+    indices by trial division below 10**6 and a primality test, in order,
+    through modmath.fan_out: one pool of workers processes per search.
+    With checkpoint set, the recurrence state and the records are saved
+    at every index divisible by 100 and at q_bound, as soon as every
+    candidate up to that index is classified, and a rerun resumes from
+    the last saved index.  A rerun with a smaller q_bound returns the
+    saved records with q <= q_bound.
     """
     if q_bound < 3:
         raise ValueError("q_bound must be at least 3")
@@ -126,7 +141,6 @@ def pell_search(
     n = 1
     up, uc = mpz(2), mpz(4)  # u_{n-1}, u_n
     yp, yc = mpz(0), mpz(1)
-    candidates: list[tuple[int, int, int]] = []
     done: list[dict] = []
     if checkpoint is not None:
         saved = _read_checkpoint(checkpoint)
@@ -134,43 +148,35 @@ def pell_search(
             n = saved["n"]
             up, uc = mpz(saved["u_prev"]), mpz(saved["u_cur"])
             yp, yc = mpz(saved["y_prev"]), mpz(saved["y_cur"])
-            done = saved["records"]
+            done = [d for d in saved["records"] if d["q"] <= q_bound]
+    candidates: list[tuple[int, int, int]] = []
+    marks: list[tuple[int, dict]] = []  # (records due by then, state)
     while n < q_bound:
         up, uc = uc, 4 * uc - up
         yp, yc = yc, 4 * yc - yp
         n += 1
         if n % 2 and n >= 3 and sieve[n] == n:
             candidates.append((n, int(uc) // 4, (int(yc) - 1) // 2))
-        if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n >= q_bound):
-            new = _classify_batch(candidates, workers)
-            done.extend(_record_dict(r) for r in new)
-            candidates = []
-            _write_checkpoint(
-                checkpoint,
-                {
-                    "kind": "pell_search",
-                    "n": n,
-                    "u_prev": str(int(up)),
-                    "u_cur": str(int(uc)),
-                    "y_prev": str(int(yp)),
-                    "y_cur": str(int(yc)),
-                    "records": done,
-                },
-            )
-    records = [_record_from_dict(d) for d in done]
-    records.extend(_classify_batch(candidates, workers))
-    return [r for r in records if r.status != "composite"]
-
-
-def _classify_batch(
-    candidates: list[tuple[int, int, int]], workers: int
-) -> list[PellRecord]:
-    if not candidates:
-        return []
-    if workers <= 1:
-        return [_classify(*c) for c in candidates]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_classify_args, candidates))
+        if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n == q_bound):
+            state = {
+                "kind": "pell_search",
+                "n": n,
+                "u_prev": str(int(up)),
+                "u_cur": str(int(uc)),
+                "y_prev": str(int(yp)),
+                "y_cur": str(int(yc)),
+            }
+            marks.append((len(done) + len(candidates), state))
+    results = fan_out(_classify_args, candidates, workers)
+    try:
+        for due, state in marks:
+            while len(done) < due:
+                done.append(_record_dict(next(results)))
+            _write_checkpoint(checkpoint, {**state, "records": done})
+        done.extend(_record_dict(r) for r in results)
+    finally:
+        results.close()
+    return [_record_from_dict(d) for d in done if d["status"] != "composite"]
 
 
 def _record_dict(r: PellRecord) -> dict:

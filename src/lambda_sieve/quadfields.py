@@ -7,19 +7,20 @@ d % 4 == 3, else -4d), the even character modulus D (2d respectively
 discriminant.  Note chi has conductor |discriminant|, which properly
 divides D when d % 4 == 3, so chi can be nonzero on residues sharing a
 factor with D; counts over "units mod D" below always mask by
-gcd(j, D) == 1 explicitly.
+gcd(j, D) == 1 explicitly.  kronecker itself lives in modmath and is
+re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
+from .modmath import fan_out, kronecker
 
 __all__ = [
     "QuadField",
@@ -37,34 +38,6 @@ __all__ = [
 ]
 
 FORMS_DISC_LIMIT = 10**8
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a | n), fully multiplicative extension of Legendre."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    k = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            k = -k
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                k = -k
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a %= n
-    return k if n == 1 else 0
 
 
 def _is_squarefree(d: int) -> bool:
@@ -204,10 +177,6 @@ def class_number_forms(disc: int) -> int:
     return count
 
 
-def _maximal_block(ds: tuple[int, ...]) -> list[int]:
-    return [d for d in ds if make_field(d).maximal]
-
-
 def squarefree_values(d_bound: int) -> list[int]:
     """All square-free d with 1 <= d <= d_bound, increasing."""
     if d_bound < 1:
@@ -221,15 +190,8 @@ def squarefree_values(d_bound: int) -> list[int]:
 
 def maximal_scan(d_bound: int, workers: int = 1) -> list[int]:
     """All square-free d <= d_bound whose field is maximal, increasing."""
-    ds = squarefree_values(d_bound)
-    if workers <= 1:
-        return _maximal_block(tuple(ds))
-    blocks = [tuple(ds[i : i + 64]) for i in range(0, len(ds), 64)]
-    out: list[int] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_maximal_block, blocks):
-            out.extend(part)
-    return out
+    fields = fan_out(make_field, squarefree_values(d_bound), workers)
+    return [f.d for f in fields if f.maximal]
 
 
 def s_set(i: int, D: int) -> frozenset[int]:

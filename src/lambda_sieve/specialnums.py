@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .gaussfact import _xi_fq, exceptional_fq
+from .gaussfact import _xi_fq
 from .modmath import is_probable_prime
 from .quadfields import QuadField
 
@@ -225,27 +225,14 @@ def glaisher_criterion(p: int) -> bool:
     return int(seq[p - 1]) == 0
 
 
-def _valuation(x: Fraction, p: int) -> float:
-    if x == 0:
-        return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def bernoulli_criterion(p: int, field: QuadField) -> bool:
     """Bernoulli-polynomial form of the exceptionality criterion.
 
     With m = D/2, tests whether B_p(1/m) - 2**p B_p(1/2m) has p-adic
-    valuation >= 3.  For p <= 500 this is evaluated exactly and must
-    agree with the Fermat-quotient difference xi(m) - 2 xi(2m), which
-    is what is returned for larger p.
+    valuation >= 3, through the Fermat-quotient difference
+    xi(m) - 2 xi(2m) (mod p) that it is equivalent to.  The exact
+    rational evaluation is the oracle of verify's
+    bernoulli-route-vs-quotient-route check, for p <= 500.
     """
     D = field.D
     m = D // 2
@@ -253,19 +240,7 @@ def bernoulli_criterion(p: int, field: QuadField) -> bool:
         raise ValueError("field must have D >= 4")
     if (p - 1) % D:
         raise ValueError(f"need p = 1 (mod {D})")
-    xi_diff = (_xi_fq(p, m) - 2 * _xi_fq(p, D)) % p
-    verdict = xi_diff == 0
-    if p <= 500:
-        x = bernoulli_poly_exact(p, Fraction(1, m)) - (
-            2**p
-        ) * bernoulli_poly_exact(p, Fraction(1, D))
-        exact_verdict = _valuation(x, p) >= 3
-        if exact_verdict != verdict:
-            raise RuntimeError(
-                f"bernoulli routes disagree at p={p}, d={field.d}: "
-                f"exact={exact_verdict} fq={verdict}"
-            )
-    return verdict
+    return (_xi_fq(p, m) - 2 * _xi_fq(p, D)) % p == 0
 
 
 def glaisher_bernoulli_identity(n: int) -> bool:

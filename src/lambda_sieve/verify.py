@@ -54,6 +54,7 @@ from .quadfields import (
 from .specialnums import (
     bernoulli_criterion,
     bernoulli_exact,
+    bernoulli_poly_exact,
     euler_criterion,
     euler_exact,
     euler_mod,
@@ -440,11 +441,17 @@ def glaisher_route_vs_quotient_route() -> tuple[bool, str]:
 def bernoulli_route_vs_quotient_route() -> tuple[bool, str]:
     for d in (1, 3):
         field = make_field(d)
+        m = field.D // 2
         for p in sieve_primes(PrimeRange(5, 1000, (field.D, 1))):
             want = exceptional_fq(p, field.D).verdict
             if bernoulli_criterion(p, field) != want:
                 return False, f"d={d}, p={p}: routes disagree"
-    return True, "polynomial route matches quotient route, p <= 1000"
+            if p <= 500:  # exact: v_p(B_p(1/m) - 2**p B_p(1/2m)) >= 3
+                x = bernoulli_poly_exact(p, Fraction(1, m))
+                x -= 2**p * bernoulli_poly_exact(p, Fraction(1, 2 * m))
+                if (x.numerator % p**3 == 0) != want:
+                    return False, f"d={d}, p={p}: exact valuation disagrees"
+    return True, "polynomial route matches quotient route, p <= 1000; exact, p <= 500"
 
 
 @_check("specialnums")

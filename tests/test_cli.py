@@ -89,6 +89,25 @@ class TestScanExceptional:
         assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan-lambda", "--d", "3", "--bound", "2"], "must be at least 3"),
+        (["scan-lambda", "--d", "4", "--bound", "100"], "not square-free"),
+        (["scan-lambda", "--d", "0", "--bound", "100"], "must be at least 1"),
+        (["glaisher-table", "--bound", "5"], "must be at least 7"),
+        (["euler-check", "--bound", "3"], "must be at least 5"),
+        (["pell", "--q-bound", "2"], "must be at least 3"),
+    ],
+)
+def test_subcommand_bad_input_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
+
+
 class TestScanLambda:
     def test_text_and_csv(self, capsys):
         rc, out = run_cli(capsys, "scan-lambda", "--d", "3", "--bound", "3000")

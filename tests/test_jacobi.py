@@ -121,6 +121,21 @@ class TestCornacchia:
                     continue
                 assert cornacchia_gold(f, p).verdict == jv.verdict, (d, p)
 
+    def test_one_routine_for_p_and_4p(self):
+        # x**2 + d y**2 = k p with k = 4 exactly when d = 3 (mod 4)
+        for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
+            k = 4 if d % 4 == 3 else 1
+            f = make_field(d)
+            for p in sieve_primes(PrimeRange(3, 3000)):
+                if f.D % p == 0:
+                    continue
+                sol = jacobi_mod._cornacchia(d, p)
+                if not splits(f, p):
+                    assert sol is None, (d, p)
+                    continue
+                x, y = sol
+                assert x > 0 and y > 0 and x * x + d * y * y == k * p, (d, p)
+
     def test_rejects_nonsplit_and_class_number(self):
         f3 = make_field(3)
         with pytest.raises(CriterionInapplicable):

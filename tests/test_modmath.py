@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from lambda_sieve.modmath import (
     MR_DETERMINISTIC_BOUND,
     PrimeRange,
     Residue,
+    fan_out,
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
@@ -234,3 +236,17 @@ def test_primitive_root_has_full_order():
             x = x * g % p
             seen.add(x)
         assert len(seen) == p - 1
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_input_order(self, workers):
+        items = list(range(10**6, 10**6 + 500))
+        assert list(fan_out(math.isqrt, items, workers)) == [math.isqrt(n) for n in items]
+        assert list(fan_out(math.isqrt, [], workers)) == []
+
+    def test_early_close_shuts_the_pool_down(self):
+        out = fan_out(math.isqrt, list(range(2000)), 2)
+        assert next(out) == 0
+        out.close()
+        assert not multiprocessing.active_children()

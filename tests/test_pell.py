@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lambda_sieve.pell as pell_mod
 from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
     NONTRIVIAL_SIZE_GUARD,
@@ -90,6 +92,39 @@ class TestSearch:
         assert resumed == full
         # a later run with the same file continues past the stored point
         assert json.loads(cp.read_text())["n"] == 240
+
+    def test_resume_past_bound(self, tmp_path):
+        cp = tmp_path / "state.json"
+        pell_search(100, checkpoint=str(cp))
+        assert pell_search(20, checkpoint=str(cp)) == pell_search(20)
+        assert json.loads(cp.read_text())["n"] == 100  # not rolled back
+
+    def test_interrupted_pool_search_resumes(self, tmp_path, monkeypatch):
+        class Killed(Exception):
+            pass
+
+        cp = tmp_path / "state.json"
+        write = pell_mod._write_checkpoint
+        written = []
+
+        def write_then_die(path, payload):
+            write(path, payload)
+            written.append(payload["n"])
+            if len(written) == 2:
+                raise Killed
+
+        monkeypatch.setattr(pell_mod, "_write_checkpoint", write_then_die)
+        with pytest.raises(Killed) as killed:
+            pell_search(300, workers=2, checkpoint=str(cp))
+        # the pool is shut down while the traceback still holds the search
+        assert killed.traceback and not multiprocessing.active_children()
+        state = json.loads(cp.read_text())
+        assert written == [100, 200] and state["n"] == 200
+        assert [r["q"] for r in state["records"]] == [
+            q for q in range(3, 200) if is_probable_prime(q)
+        ]
+        monkeypatch.undo()
+        assert pell_search(300, workers=2, checkpoint=str(cp)) == pell_search(300)
 
 
 class TestImplication:

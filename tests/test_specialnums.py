@@ -135,8 +135,15 @@ class TestCriteria:
     def test_bernoulli_criterion_matches(self):
         for d in (1, 3):
             f = make_field(d)
+            m = f.D // 2
             for p in sieve_primes(PrimeRange(5, 600, (f.D, 1))):
-                assert bernoulli_criterion(p, f) == exceptional_fq(p, f.D).verdict
+                verdict = bernoulli_criterion(p, f)
+                assert verdict == exceptional_fq(p, f.D).verdict
+                if p <= 500:
+                    # exact: v_p(B_p(1/m) - 2**p B_p(1/2m)) >= 3
+                    x = bernoulli_poly_exact(p, Fraction(1, m))
+                    x -= 2**p * bernoulli_poly_exact(p, Fraction(1, 2 * m))
+                    assert (x.numerator % p**3 == 0) == verdict, (d, p)
 
 
 class TestIdentities:
