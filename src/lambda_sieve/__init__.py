@@ -14,7 +14,6 @@ from .gaussfact import (
     exceptional_direct,
     exceptional_fq,
     exceptional_general,
-    exceptional_ratio,
     gauss_factorial,
     scan_exceptional,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "gauss_factorial",
     "exceptional_direct",
     "exceptional_fq",
-    "exceptional_ratio",
     "exceptional_general",
     "cut_point_congruence_check",
     "scan_exceptional",

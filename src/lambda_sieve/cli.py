@@ -18,9 +18,10 @@ import sys
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
+from .modmath import PrimeRange, sieve_primes
 from .pell import pell_search
 from .quadfields import make_field, squarefree_values
-from .specialnums import euler_mod, glaisher_mod
+from .specialnums import _check_recurrence_range, euler_mod, glaisher_mod
 from .verify import report_lines, run_checks
 
 SCHEMA_TAG = "lambda-sieve/v1"
@@ -54,6 +55,13 @@ def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None
             f"{name} {value} exceeds the safety limit {limit}; "
             "raise LAMBDA_SIEVE_MAX_BOUND to allow it"
         )
+
+
+def _check_recurrence_bound(parser: argparse.ArgumentParser, bound: int) -> None:
+    try:  # the residues of p <= bound come from the recurrence mod p**2
+        _check_recurrence_range(bound - 1, bound * bound)
+    except ValueError as exc:
+        parser.error(f"--bound {bound}: {exc}")
 
 
 def _int_at_least(low: int):
@@ -162,9 +170,8 @@ def cmd_pell(args, parser) -> int:
 
 def cmd_glaisher_table(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
+    _check_recurrence_bound(parser, args.bound)
     rows = []
-    from .modmath import PrimeRange, sieve_primes
-
     for p in sieve_primes(PrimeRange(7, args.bound, (3, 1))):
         r2 = int(glaisher_mod(p - 1, p * p)[p - 1])
         rows.append(
@@ -176,9 +183,8 @@ def cmd_glaisher_table(args, parser) -> int:
 
 def cmd_euler_check(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
+    _check_recurrence_bound(parser, args.bound)
     rows = []
-    from .modmath import PrimeRange, sieve_primes
-
     for p in sieve_primes(PrimeRange(5, args.bound, (4, 1))):
         r2 = int(euler_mod(p - 1, p * p)[p - 1])
         rows.append({"p": p, "residue_p2": r2, "verdict": r2 == 0})

@@ -49,7 +49,6 @@ __all__ = [
     "gauss_factorial",
     "exceptional_direct",
     "exceptional_fq",
-    "exceptional_ratio",
     "exceptional_general",
     "cut_point_congruence_check",
     "scan_exceptional",
@@ -179,36 +178,22 @@ def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
     return half * pow(full * full % p2, -1, p2) % p2
 
 
-def _check_ratio_args(p: int, D: int, r: int) -> None:
-    if D < 4 or D % 2:
-        raise ValueError("D must be an even integer >= 4")
-    if r < 1 or pow(p, r, D) != 1:
-        raise ValueError(f"need p**r = 1 (mod {D})")
-    if p ** (2 * r) >= 1 << 61:
-        raise ValueError("p**(2r) out of int64 range")
-
-
-def exceptional_ratio(p: int, D: int, r: int = 1) -> bool:
-    """Single-factor Gauss-factorial-ratio criterion (maximal fields).
-
-    True iff the i = 1 ratio raised to the (p-1)-st power is 1 mod p**2.
-    """
-    _check_ratio_args(p, D, r)
-    p2 = p * p
-    return pow(_ratio_factor(p, 1, D, r, p2), p - 1, p2) == 1
-
-
 def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     """Full double-product criterion for arbitrary imaginary quadratic fields.
 
     Multiplies the i-th ratio factor to the power chi(i) over the units
     0 < i < D/2, then raises to the (p-1)-st power; the verdict is
-    whether the result is 1 mod p**2.  Preconditions: p**r = 1 (mod D),
-    p splits, p does not divide the class number, and p != 3 whenever
-    chi(2) = -1 with d != 3 (this keeps the ideal power coprime to p).
+    whether the result is 1 mod p**2.  On a maximal field every such
+    unit has chi(i) = +1, so the product is of plain ratio factors.
+    Preconditions: p**r = 1 (mod D), p splits, p does not divide the
+    class number, and p != 3 whenever chi(2) = -1 with d != 3 (this
+    keeps the ideal power coprime to p).
     """
-    D = field.D
-    _check_ratio_args(p, D, r)
+    D = field.D  # even and at least 4 for every field make_field builds
+    if r < 1 or pow(p, r, D) != 1:
+        raise ValueError(f"need p**r = 1 (mod {D})")
+    if p ** (2 * r) >= 1 << 61:
+        raise ValueError("p**(2r) out of int64 range")
     if field.h % p == 0:
         raise ValueError(f"p = {p} divides the class number {field.h}")
     tbl = character_table(field).values
@@ -371,13 +356,9 @@ def scan_exceptional(
         raise ValueError("empty range")
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
-        saved = _read_checkpoint(checkpoint)
-        if (
-            saved is not None
-            and saved.get("kind") == "scan_exceptional"
-            and saved.get("m") == m
-            and saved.get("start") == first
-        ):
+        header = {"kind": "scan_exceptional", "m": m, "start": first}
+        saved = _read_checkpoint(checkpoint, header)
+        if saved is not None:
             pairs = [(p, x) for p, x in saved["pairs"] if p <= bound]
             lo = max(lo, saved["next_start"])
     primes = list(PrimeRange(lo, bound, (m, 1 % m))) if lo <= bound else []
@@ -389,9 +370,7 @@ def scan_exceptional(
             _write_checkpoint(
                 checkpoint,
                 {
-                    "kind": "scan_exceptional",
-                    "m": m,
-                    "start": first,
+                    **header,
                     "next_start": pair[0] + 1,
                     "pairs": [list(t) for t in pairs],
                 },

@@ -84,7 +84,8 @@ def jacobi_sum_mod_p2(p: int, D: int, i: int) -> Residue:
     """J(psi**i) = sum over a of psi**i(a) psi**i(1-a), mod p**2.
 
     Requires D | p - 1 and gcd(i, D) = 1.  The entries a = 0, 1 give no
-    contribution (the character vanishes at 0).
+    contribution (the character vanishes at 0).  Exact for p**2 < 2**61,
+    the range of _kernels.mulmod, which raises above it.
     """
     if D < 2 or (p - 1) % D:
         raise ValueError("need D dividing p - 1")
@@ -95,7 +96,7 @@ def jacobi_sum_mod_p2(p: int, D: int, i: int) -> Residue:
     x = t[2:p]
     y = x[::-1]  # index p + 1 - a runs back down over the same slice
     total = 0
-    step = max(1024, (1 << 62) // p2)  # keep the int64 partial sums exact
+    step = (1 << 62) // p2  # each chunk's int64 sum stays below 2**62
     for lo in range(0, x.size, step):
         part = _kernels.mulmod(x[lo : lo + step], y[lo : lo + step], p2)
         total = (total + int(part.sum())) % p2

@@ -3,8 +3,9 @@
 Everything here works with plain Python integers or numpy int64 arrays;
 the bulk paths live in _kernels and are wrapped by the table functions
 below.  As the bottom layer, this module also holds the primitives every
-route above shares: the Kronecker symbol, the one process fan-out
-(fan_out) and the atomic JSON checkpoint I/O of the resumable searches.
+route above shares: the Kronecker symbol, the BPSW primality test, the
+one process fan-out (fan_out) and the atomic JSON checkpoint I/O of the
+resumable searches.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -227,9 +227,8 @@ def sieve_primes(rng: PrimeRange) -> Iterator[int]:
             yield int(p)
 
 
-# Miller-Rabin with this base set is deterministic below 3.3e14
+# is_probable_prime is exact below this bound; pell labels such primes proven
 MR_DETERMINISTIC_BOUND = 330_000_000_000_000
-_MR_SMALL_BASES = (2, 3, 5, 7, 11, 13, 17)
 
 
 def _mr_witness(n, a) -> bool:
@@ -311,11 +310,11 @@ def _strong_lucas(n) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality verdict: exact below MR_DETERMINISTIC_BOUND, else BPSW-style.
+    """Trial division to 37, then BPSW: Miller-Rabin base 2 + strong Lucas.
 
-    Above the deterministic bound the test runs Miller-Rabin to 20
-    bases drawn reproducibly from the candidate plus a strong Lucas
-    test, so verdicts are stable across runs.
+    BPSW is due to Baillie and Wagstaff (Math. Comp. 1980).  No composite
+    below 2**64 passes it (Feitsma-Galway), so the verdict is exact below
+    MR_DETERMINISTIC_BOUND and beyond; above 2**64 none is known.
     """
     if n < 2:
         return False
@@ -323,13 +322,7 @@ def is_probable_prime(n: int) -> bool:
         if n % q == 0:
             return n == q
     m = mpz(n)
-    if n < MR_DETERMINISTIC_BOUND:
-        return not any(_mr_witness(m, a) for a in _MR_SMALL_BASES)
-    rng = random.Random(n)
-    bases = [rng.randrange(2, n - 1) for _ in range(20)]
-    if any(_mr_witness(m, mpz(a)) for a in bases):
-        return False
-    return _strong_lucas(m)
+    return not _mr_witness(m, 2) and _strong_lucas(m)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -387,9 +380,10 @@ def _write_checkpoint(path: str, payload: dict) -> None:
         raise
 
 
-def _read_checkpoint(path: str) -> dict | None:
-    """The JSON payload saved at path, or None when there is no file."""
+def _read_checkpoint(path: str, header: dict) -> dict | None:
+    """The JSON payload at path, or None unless it matches every header field."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        return json.load(fh)
+        saved = json.load(fh)
+    return saved if all(saved.get(k) == v for k, v in header.items()) else None

@@ -143,8 +143,8 @@ def pell_search(
     yp, yc = mpz(0), mpz(1)
     done: list[dict] = []
     if checkpoint is not None:
-        saved = _read_checkpoint(checkpoint)
-        if saved is not None and saved.get("kind") == "pell_search":
+        saved = _read_checkpoint(checkpoint, {"kind": "pell_search"})
+        if saved is not None:
             n = saved["n"]
             up, uc = mpz(saved["u_prev"]), mpz(saved["u_cur"])
             yp, yc = mpz(saved["y_prev"]), mpz(saved["y_cur"])

@@ -141,6 +141,16 @@ def _modulus_prime(modulus: int) -> int:
     return p
 
 
+def _check_recurrence_range(n_max: int, modulus: int) -> None:
+    """ValueError unless the int64 row sums of _even_recurrence_mod are exact.
+
+    A row adds n_max // 2 residues below modulus; for n_max = p - 1 and
+    modulus p**2 that fits in 2**63 for every prime p <= 2642245.
+    """
+    if (n_max // 2) * (modulus - 1) >= 1 << 63:
+        raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
+
+
 def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     """Shared engine for the Euler/Glaisher recurrences mod p**2.
 
@@ -149,6 +159,7 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     Uses factorial tables when n_max < p (one vector multiply and one
     sum per row); falls back to additive Pascal rows otherwise.
     """
+    _check_recurrence_range(n_max, modulus)
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = g0 % modulus
     if n_max < 1:

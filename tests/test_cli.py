@@ -98,6 +98,9 @@ class TestScanExceptional:
         (["glaisher-table", "--bound", "5"], "must be at least 7"),
         (["euler-check", "--bound", "3"], "must be at least 5"),
         (["pell", "--q-bound", "2"], "must be at least 3"),
+        # p**3 >= 2**64 from here on: the recurrence's int64 sums would wrap
+        (["glaisher-table", "--bound", "2642247"], "int64 range"),
+        (["euler-check", "--bound", "2642247"], "int64 range"),
     ],
 )
 def test_subcommand_bad_input_is_usage_error(capsys, argv, message):

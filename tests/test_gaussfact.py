@@ -14,7 +14,6 @@ from lambda_sieve.gaussfact import (
     exceptional_direct,
     exceptional_fq,
     exceptional_general,
-    exceptional_ratio,
     gauss_factorial,
     scan_exceptional,
 )
@@ -109,9 +108,11 @@ class TestExceptionality:
 
 class TestRatioRoute:
     def test_matches_quotient_route(self):
-        for D in (4, 6, 8):
-            for p in sieve_primes(PrimeRange(3, 500, (D, 1))):
-                assert exceptional_ratio(p, D) == exceptional_fq(p, D).verdict
+        # the maximal fields of D = 4, 6, 8
+        for d in (1, 3, 2):
+            f = make_field(d)
+            for p in sieve_primes(PrimeRange(3, 500, (f.D, 1))):
+                assert exceptional_general(p, f) == exceptional_fq(p, f.D).verdict
 
     def test_general_route_standard_fields(self):
         for d in (1, 3):

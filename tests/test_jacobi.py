@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,17 @@ class TestJacobiSums:
                     a = int(jacobi_sum_mod_p2(p, D, i))
                     b = int(jacobi_sum_mod_p2(p, D, -i))
                     assert a * b % p2 == p
+
+    def test_chunked_sum_exact_near_1e8(self, monkeypatch):
+        # at p**2 ~ 10**16, 1024 terms of p**2 - 1 overflow an int64 sum
+        p = 100000037  # prime, 1 (mod 4)
+        p2 = p * p
+        s = pow(2, (p2 - p) // 4, p2)  # 2 is a non-residue mod p
+        assert s * s % p2 == p2 - 1
+        table = np.full(2002, s, dtype=np.int64)
+        monkeypatch.setattr(jacobi_mod, "_psi_power", lambda p, D, i: table)
+        # the 2000 terms a = 2..2001 are each s * s = p**2 - 1
+        assert int(jacobi_sum_mod_p2(p, 4, 1)) == -2000 % p2
 
     def test_requires_divisibility(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from lambda_sieve.modmath import (
     MR_DETERMINISTIC_BOUND,
     PrimeRange,
     Residue,
+    _mr_witness,
+    _strong_lucas,
     fan_out,
     fermat_quotient,
     harmonic_mod,
@@ -155,6 +157,17 @@ class TestProbablePrime:
         # Carmichael and strong-pseudoprime classics
         for n in (561, 41041, 3215031751, 3474749660383, 341550071728321):
             assert not is_probable_prime(n)
+        # strong Lucas pseudoprimes: only Miller-Rabin base 2 rejects them
+        for n in (5459, 5777, 10877, 16109, 18971):
+            assert _strong_lucas(n) and _mr_witness(n, 2)
+            assert not is_probable_prime(n)
+        # strong pseudoprime to every base 2..23, above the bound: only
+        # the Lucas stage rejects it
+        n = 3825123056546413051
+        assert n > MR_DETERMINISTIC_BOUND
+        assert not any(_mr_witness(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        assert not _strong_lucas(n)
+        assert not is_probable_prime(n)
 
     def test_large_known(self):
         assert is_probable_prime(2**61 - 1)

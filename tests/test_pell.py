@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambda_sieve.pell as pell_mod
+from lambda_sieve.gaussfact import scan_exceptional
 from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
     NONTRIVIAL_SIZE_GUARD,
@@ -98,6 +99,15 @@ class TestSearch:
         pell_search(100, checkpoint=str(cp))
         assert pell_search(20, checkpoint=str(cp)) == pell_search(20)
         assert json.loads(cp.read_text())["n"] == 100  # not rolled back
+
+    def test_checkpoint_of_other_kind_ignored(self, tmp_path):
+        cp = tmp_path / "state.json"
+        scan_exceptional(3, 500, checkpoint=str(cp))
+        assert pell_search(120, checkpoint=str(cp)) == pell_search(120)
+        assert json.loads(cp.read_text())["kind"] == "pell_search"
+        # and the reverse: the scan starts afresh over the pell state
+        assert scan_exceptional(3, 500, checkpoint=str(cp)) == scan_exceptional(3, 500)
+        assert json.loads(cp.read_text())["kind"] == "scan_exceptional"
 
     def test_interrupted_pool_search_resumes(self, tmp_path, monkeypatch):
         class Killed(Exception):

@@ -110,6 +110,17 @@ class TestModularSequences:
             for n in range(0, 4 * p + 1, 2):
                 assert int(seq[n]) == exact[n] % (p * p)
 
+    def test_int64_range_enforced(self):
+        modulus = (10**9 + 7) ** 2
+        # 9 terms below modulus still sum exactly in int64
+        seq = euler_mod(18, modulus)
+        exact = euler_exact(18)
+        for n in range(0, 19, 2):
+            assert int(seq[n]) == exact[n] % modulus
+        # the row sums of n = 30..40 would wrap: refused, not wrong
+        with pytest.raises(ValueError):
+            euler_mod(40, modulus)
+
     def test_modulus_must_be_prime_square(self):
         with pytest.raises(ValueError):
             euler_mod(10, 100)
