@@ -31,7 +31,6 @@ from .modmath import (
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
-    mod_pow,
     primitive_root,
     sieve_primes,
     teichmuller_lift,
@@ -77,7 +76,6 @@ __all__ = [
     "harmonic_mod",
     "teichmuller_lift",
     "primitive_root",
-    "mod_pow",
     "QuadField",
     "make_field",
     "chi",

@@ -5,6 +5,11 @@ output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
 not start a week-long scan.  Output is byte-identical for a given
 command and format regardless of --workers.
+
+euler-check and glaisher-table read their rows off the same single xi
+pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
+and G_{p-1} = 3p xi(p, 3) (mod p**2); the O(p**2) recurrence of
+specialnums stays the series oracle of verify and the tests.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import sys
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
-from .modmath import PrimeRange, sieve_primes
 from .pell import pell_search
 from .quadfields import make_field, squarefree_values
-from .specialnums import _check_recurrence_range, euler_mod, glaisher_mod
+from .specialnums import residues_from_xi
 from .verify import report_lines, run_checks
 
 SCHEMA_TAG = "lambda-sieve/v1"
@@ -40,28 +44,17 @@ _FIELDS = {
 _BIG_FIELDS = {"scan-lambda": {"value"}, "pell": {"p", "x"}}
 
 
-def _max_bound() -> int:
+def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None:
     raw = os.environ.get("LAMBDA_SIEVE_MAX_BOUND", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_BOUND
+        limit = int(raw) if raw else DEFAULT_MAX_BOUND
     except ValueError:
-        return DEFAULT_MAX_BOUND
-
-
-def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None:
-    limit = _max_bound()
+        parser.error(f"LAMBDA_SIEVE_MAX_BOUND={raw!r} is not an integer")
     if value > limit:
         parser.error(
             f"{name} {value} exceeds the safety limit {limit}; "
             "raise LAMBDA_SIEVE_MAX_BOUND to allow it"
         )
-
-
-def _check_recurrence_bound(parser: argparse.ArgumentParser, bound: int) -> None:
-    try:  # the residues of p <= bound come from the recurrence mod p**2
-        _check_recurrence_range(bound - 1, bound * bound)
-    except ValueError as exc:
-        parser.error(f"--bound {bound}: {exc}")
 
 
 def _int_at_least(low: int):
@@ -170,24 +163,20 @@ def cmd_pell(args, parser) -> int:
 
 def cmd_glaisher_table(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    _check_recurrence_bound(parser, args.bound)
-    rows = []
-    for p in sieve_primes(PrimeRange(7, args.bound, (3, 1))):
-        r2 = int(glaisher_mod(p - 1, p * p)[p - 1])
-        rows.append(
-            {"p": p, "residue_p": r2 % p, "residue_p2": r2, "verdict": r2 == 0}
-        )
+    rows = [
+        {"p": p, "residue_p": r2 % p, "residue_p2": r2, "verdict": r2 == 0}
+        for p, r2 in residues_from_xi(3, args.bound)
+    ]
     _emit(args, "glaisher-table", {"bound": args.bound}, rows)
     return 0
 
 
 def cmd_euler_check(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    _check_recurrence_bound(parser, args.bound)
-    rows = []
-    for p in sieve_primes(PrimeRange(5, args.bound, (4, 1))):
-        r2 = int(euler_mod(p - 1, p * p)[p - 1])
-        rows.append({"p": p, "residue_p2": r2, "verdict": r2 == 0})
+    rows = [
+        {"p": p, "residue_p2": r2, "verdict": r2 == 0}
+        for p, r2 in residues_from_xi(4, args.bound)
+    ]
     _emit(args, "euler-check", {"bound": args.bound}, rows)
     return 0
 

@@ -30,7 +30,6 @@ except ImportError:  # pragma: no cover - optional speedup only
 __all__ = [
     "Residue",
     "PrimeRange",
-    "mod_pow",
     "teichmuller_lift",
     "fermat_quotient",
     "wilson_quotient",
@@ -106,11 +105,6 @@ class Residue:
 
     def __repr__(self) -> str:
         return f"Residue({self.value}, mod {self.modulus})"
-
-
-def mod_pow(base: Residue, exponent: int) -> Residue:
-    """base**exponent in its residue ring (square-and-multiply)."""
-    return base**exponent
 
 
 def teichmuller_lift(a: int, p: int, k: int = 2) -> Residue:

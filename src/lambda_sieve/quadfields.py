@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .modmath import fan_out, kronecker
+from .modmath import _factorize, fan_out, kronecker
 
 __all__ = [
     "QuadField",
@@ -41,25 +41,13 @@ FORMS_DISC_LIMIT = 10**8
 
 
 def _is_squarefree(d: int) -> bool:
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            return False
-        q += 1 if q == 2 else 2
-    return True
+    return all(e == 1 for e in _factorize(d).values())
 
 
 def _totient(n: int) -> int:
     out = n
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out -= out // q
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        out -= out // n
+    for q in _factorize(n):
+        out -= out // q
     return out
 
 

@@ -9,6 +9,13 @@ G_0 deserves a note: the generating function gives G_0 = 1/2, and that
 is the value used by the recurrence here.  Some tables normalize
 G_0 = 1 instead; every identity in this module is stated and tested
 against the 1/2 normalization.
+
+E_{p-1} and G_{p-1} mod p**2 come from two routes.  The O(p**2)
+recurrence (euler_mod, glaisher_mod and the two criteria) is the series
+oracle that verify and the tests run.  The tables of every prime up to a
+bound (residues_from_xi, behind euler-check and glaisher-table) read
+them off the one batched xi pass of gaussfact.scan_exceptional, through
+E_{p-1} = 4p xi(p, 4) and G_{p-1} = 3p xi(p, 3) (mod p**2).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .gaussfact import _xi_fq
+from .gaussfact import _xi_fq, scan_exceptional
 from .modmath import is_probable_prime
 from .quadfields import QuadField
 
@@ -35,6 +42,7 @@ __all__ = [
     "glaisher_mod",
     "euler_criterion",
     "glaisher_criterion",
+    "residues_from_xi",
     "bernoulli_criterion",
     "glaisher_bernoulli_identity",
     "raabe_identity",
@@ -141,16 +149,6 @@ def _modulus_prime(modulus: int) -> int:
     return p
 
 
-def _check_recurrence_range(n_max: int, modulus: int) -> None:
-    """ValueError unless the int64 row sums of _even_recurrence_mod are exact.
-
-    A row adds n_max // 2 residues below modulus; for n_max = p - 1 and
-    modulus p**2 that fits in 2**63 for every prime p <= 2642245.
-    """
-    if (n_max // 2) * (modulus - 1) >= 1 << 63:
-        raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
-
-
 def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     """Shared engine for the Euler/Glaisher recurrences mod p**2.
 
@@ -159,7 +157,10 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     Uses factorial tables when n_max < p (one vector multiply and one
     sum per row); falls back to additive Pascal rows otherwise.
     """
-    _check_recurrence_range(n_max, modulus)
+    # a row adds n_max // 2 residues below modulus in int64; for n_max = p - 1
+    # and modulus p**2 that is exact for every prime p <= 2642245
+    if (n_max // 2) * (modulus - 1) >= 1 << 63:
+        raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = g0 % modulus
     if n_max < 1:
@@ -234,6 +235,22 @@ def glaisher_criterion(p: int) -> bool:
         raise ValueError("need a prime p = 1 (mod 3)")
     seq = glaisher_mod(p - 1, p * p)
     return int(seq[p - 1]) == 0
+
+
+def residues_from_xi(m: int, bound: int) -> list[tuple[int, int]]:
+    """(p, r) for every prime p = 1 (mod m) in [3, bound], increasing.
+
+    r is E_{p-1} mod p**2 for m = 4 and G_{p-1} mod p**2 for m = 3, as
+    m*p*xi(p, m) mod p**2: E_{p-1} = 4p xi(p, 4) and
+    G_{p-1} = 3p xi(p, 3) (mod p**2), so r = 0 exactly when xi = 0.
+    test_residues_from_xi_equal_recurrence pins this against euler_mod
+    and glaisher_mod for every p <= 3000.
+    """
+    if m not in (3, 4):
+        raise ValueError("m must be 3 (Glaisher) or 4 (Euler)")
+    return [
+        (v.p, m * v.p * v.xi.value % (v.p * v.p)) for v in scan_exceptional(m, bound)
+    ]
 
 
 def bernoulli_criterion(p: int, field: QuadField) -> bool:

@@ -30,7 +30,7 @@ from lambda_sieve.quadfields import (
     maximal_scan,
     squarefree_values,
 )
-from lambda_sieve.specialnums import euler_criterion
+from lambda_sieve.specialnums import euler_criterion, euler_mod, residues_from_xi
 from lambda_sieve.verify import lambda_routes_agree_to, run_checks
 
 
@@ -98,13 +98,20 @@ def test_euler_numbers_vanish_only_at_29789(capsys):
     t0 = time.perf_counter()
     big = euler_criterion(29789)
     dt_big = time.perf_counter() - t0
-    # every other p = 1 (mod 4) up to 3*10^4 must give a nonzero residue
+    # every other p = 1 (mod 4) up to 3*10^4 must give a nonzero residue,
+    # the same residue as the xi pass behind euler-check
     t0 = time.perf_counter()
-    stray = [
-        p
-        for p in PrimeRange(5, 3 * 10**4, (4, 1))
-        if p != 29789 and euler_criterion(p)
-    ]
+    from_xi = residues_from_xi(4, 3 * 10**4)
+    assert [p for p, _ in from_xi] == list(PrimeRange(5, 3 * 10**4, (4, 1)))
+    stray = []
+    for p, r in from_xi:
+        if p == 29789:
+            assert r == 0
+            continue
+        series = int(euler_mod(p - 1, p * p)[p - 1])
+        assert series == r, p
+        if series == 0:
+            stray.append(p)
     dt = dt_big + (time.perf_counter() - t0)
     ok = big and not stray and dt_big < 900.0
     _report(capsys, "euler-vanishing", ok, dt, f"instance={dt_big:.2f}s stray={stray}")

@@ -20,6 +20,7 @@ from lambda_sieve.specialnums import (
     glaisher_exact,
     glaisher_mod,
     raabe_identity,
+    residues_from_xi,
 )
 
 
@@ -136,6 +137,16 @@ class TestCriteria:
     def test_glaisher_hits(self):
         hits = [p for p in sieve_primes(PrimeRange(7, 2000, (3, 1))) if glaisher_criterion(p)]
         assert hits == [13, 181]
+
+    @pytest.mark.parametrize("m, series", [(4, euler_mod), (3, glaisher_mod)])
+    def test_residues_from_xi_equal_recurrence(self, m, series):
+        # E_{p-1} = 4p xi(p, 4), G_{p-1} = 3p xi(p, 3) (mod p**2), exactly
+        rows = residues_from_xi(m, 3000)
+        assert [p for p, _ in rows] == list(sieve_primes(PrimeRange(3, 3000, (m, 1))))
+        for p, r in rows:
+            assert r == int(series(p - 1, p * p)[p - 1]), (m, p)
+        with pytest.raises(ValueError):
+            residues_from_xi(6, 100)
 
     def test_residue_guards(self):
         with pytest.raises(ValueError):
