@@ -31,7 +31,6 @@ from .modmath import (
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
-    primitive_root,
     sieve_primes,
     teichmuller_lift,
     wilson_quotient,
@@ -75,7 +74,6 @@ __all__ = [
     "wilson_quotient",
     "harmonic_mod",
     "teichmuller_lift",
-    "primitive_root",
     "QuadField",
     "make_field",
     "chi",

@@ -23,7 +23,7 @@ import sys
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
-from .pell import pell_search
+from .pell import _int_to_str, pell_search
 from .quadfields import make_field, squarefree_values
 from .specialnums import residues_from_xi
 from .verify import report_lines, run_checks
@@ -152,8 +152,8 @@ def cmd_pell(args, parser) -> int:
             "q": r.q,
             "digits": r.digits,
             "status": r.status,
-            "p": r.p_candidate,
-            "x": r.x,
+            "p": _int_to_str(r.p_candidate),
+            "x": _int_to_str(r.x),
         }
         for r in recs
     ]

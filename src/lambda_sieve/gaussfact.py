@@ -16,7 +16,9 @@ Scans do not run the O(p) route once per prime.  scan_exceptional
 rewrites its xi through n! and (p-1)! mod p**2, n = (p-1)/m, plus
 Lehmer's congruences for the harmonic number H_n, and gets those
 factorials for every prime of the range in one quasi-linear pass of an
-accumulating remainder tree (_xi_batch, _factorial_residues).  The
+accumulating remainder tree (_xi_batch, _factorial_residues).  The same
+pass at the cut points c (p-1)/D (_cut_factorials) gives jacobi's
+scan_lambda its criterion value on every field.  The
 single-prime _xi_fq stays as the entry point for one prime and as the
 oracle the batched values are tested against.  The pass runs in one
 process, whatever worker count is passed; a checkpoint is written every
@@ -275,34 +277,25 @@ def _walk(
     return a * b if need else None
 
 
-# Lehmer (Ann. Math. 1938): 2 H_{(p-1)/m} = a q_p(2) + b q_p(3) (mod p)
-_LEHMER = {2: (-4, 0), 3: (0, -3), 4: (-6, 0), 6: (-4, -3)}
+def _cut_factorials(
+    M: int, cs: Sequence[int], primes: Sequence[int], harmonic: bool
+) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """(p, (p-1)!, [k!], [1 + p H_k]) mod p**2 per prime, at k = c (p-1)/M.
 
-
-def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(p, xi) for an increasing sequence of primes p = 1 (mod m), in order.
-
-    The xi of _xi_fq, rewritten with q_p(ab) = q_p(a) + q_p(b) as
-
-        xi = (H_n - w_p)/m + q_p(n!)  (mod p),   n = (p-1)/m,
-
-    so each prime needs only n! and (p-1)! mod p**2, which
-    _factorial_residues gives for all primes in one pass.  H_n comes
-    from Lehmer's congruences when m is in _LEHMER; for any other m from
-    a third point, (p+n)! mod p**3 = p (p-1)! prod_{j<=n} (p+j), using
-    prod_{j<=n} (p+j) = n! (1 + p H_n) (mod p**2).
+    cs increases with 0 < c < M, so each prime's points, and its leaves,
+    come in column order; the primes increase and are 1 (mod M).  With
+    harmonic the pass also gets (p+k)! mod p**3 = p (p-1)! k! (1 + p H_k),
+    otherwise the last list is empty.
     """
-    if not primes:
-        return
-    lehmer = _LEHMER.get(m)
     ps = np.asarray(primes, dtype=np.int64)
-    n = (ps - 1) // m
-    cols = [n, ps - 1] if lehmer else [n, ps - 1, ps + n]
+    ks = [c * (ps - 1) // M for c in cs]
+    cols = ks + [ps - 1] + ([ps + k for k in ks] if harmonic else [])
     xs = np.concatenate(cols)
     order = np.argsort(xs, kind="stable")
-    owner = (order % ps.size).tolist()  # point k belongs to primes[owner[k]]
+    owner = (order % ps.size).tolist()  # leaf j belongs to primes[owner[j]]
+    cubed = len(cs) + 1  # the (p+k)! columns start here
     moduli = [
-        p ** (3 if col == 2 else 2)
+        p ** (3 if col >= cubed else 2)
         for p, col in zip(ps[owner].tolist(), (order // ps.size).tolist())
     ]
     xs = xs[order].tolist()
@@ -315,12 +308,33 @@ def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
             continue
         del found[i]
         p = primes[i]
-        fact_n, fact_p = got[0], got[1]
+        p2 = p * p
+        facts, fact_p = got[: len(cs)], got[len(cs)]
+        hs = [t // p * pow(fact_p * f, -1, p2) % p2 for f, t in zip(facts, got[cubed:])]
+        yield p, fact_p, facts, hs
+
+
+# Lehmer (Ann. Math. 1938): 2 H_{(p-1)/m} = a q_p(2) + b q_p(3) (mod p)
+_LEHMER = {2: (-4, 0), 3: (0, -3), 4: (-6, 0), 6: (-4, -3)}
+
+
+def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(p, xi) for an increasing sequence of primes p = 1 (mod m), in order.
+
+    The xi of _xi_fq, rewritten with q_p(ab) = q_p(a) + q_p(b) as
+
+        xi = (H_n - w_p)/m + q_p(n!)  (mod p),   n = (p-1)/m,
+
+    so each prime needs only n! and (p-1)! mod p**2, which
+    _cut_factorials gives for all primes in one pass.  H_n comes from
+    Lehmer's congruences when m is in _LEHMER, and for any other m from
+    the 1 + p H_n of _cut_factorials.
+    """
+    lehmer = _LEHMER.get(m)
+    for p, fact_p, (fact_n,), hs in _cut_factorials(m, [1], primes, lehmer is None):
         w = (fact_p + 1) // p  # Wilson quotient: (p-1)! = -1 + w p (mod p**2)
         if lehmer is None:
-            p2 = p * p
-            u = r // p * pow(fact_p * fact_n, -1, p2) % p2
-            h = (u - 1) // p
+            h = (hs[0] - 1) // p
         else:
             a, b = lehmer
             h2 = a * int(fermat_quotient(2, p))

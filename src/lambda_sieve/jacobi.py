@@ -13,21 +13,23 @@ it and watch the oracle-equivalence checks fail.
 An independent route needs no characters at all: for class number one,
 writing p (or 4p) as x**2 + d y**2 with one Cornacchia routine embeds the
 ideal generator into the integers mod p**2 directly, and the criterion
-is Gold's original one.  Scans over the Jacobi route fan out per prime
-through modmath.fan_out.
+is Gold's original one.  scan_lambda does not evaluate Jacobi sums: it
+reads the same unit off the cut-point factorials of one remainder-tree
+pass in gaussfact, for every prime of the range at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
-from .gaussfact import _xi_batch
-from .modmath import PrimeRange, Residue, fan_out, is_probable_prime
+from .gaussfact import _cut_factorials, _xi_batch
+from .modmath import PrimeRange, Residue, is_probable_prime
 from .quadfields import QuadField, character_table, splits
 
 __all__ = [
@@ -261,27 +263,49 @@ def cornacchia_gold(
 def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
     """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
 
-    Maximal fields with D in {4, 6} go through the Fermat-quotient route,
-    all primes in one pass of gaussfact._xi_batch; every other field runs
-    the Jacobi-sum criterion per prime through modmath.fan_out over
-    workers processes.  The worker count does not affect the result.
+    One remainder-tree pass of gaussfact does every prime; workers is
+    accepted for API compatibility and starts no processes.  d = 1 and
+    d = 3 test xi = 0 (method fermat_quotient, value (1+p)**xi), every
+    other field the value of _cut_point_values (method jacobi).
     """
-    rows = _scan_all(field, bound, workers)
-    return [v for v in rows if v.verdict]
+    D = field.D
+    primes = list(PrimeRange(3, bound, (D, 1 % D)))
+    if field.d in (1, 3):
+        method = "fermat_quotient"
+        rows = ((p, 1 + xi * p) for p, xi in _xi_batch(4 if D == 4 else 3, primes))
+    else:
+        method, rows = "jacobi", _cut_point_values(field, primes)
+    return [
+        LambdaVerdict(field, p, 1, method, Residue(1, p * p), True)
+        for p, v in rows
+        if v == 1
+    ]
 
 
-def _scan_all(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
-    primes = list(PrimeRange(3, bound, (field.D, 1 % field.D)))
-    if field.maximal and field.D in (4, 6):
-        return [
-            LambdaVerdict(
-                field=field,
-                p=p,
-                r=1,
-                method="fermat_quotient",
-                criterion_value=Residue(1 + xi * p, p * p),  # (1+p)**xi mod p**2
-                verdict=xi == 0,
-            )
-            for p, xi in _xi_batch(4 if field.D == 4 else 3, primes)
-        ]
-    return list(fan_out(partial(lambda_criterion_jacobi, field), primes, workers))
+def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int, int]]:
+    """(p, the criterion value of lambda_criterion_jacobi) per prime p = 1 (mod D).
+
+    With n = i(p-1)/D, (n(p+1))_p! = ((p-1)!)**n n! (1 + p H_n)**n (mod p**2),
+    so the ratio factor of gaussfact._ratio_factor for the unit i, which is
+    -J(psi**-i), is f_i = (2n)!/(n!)**2 ((1 + p H_{2n})/(1 + p H_n))**(2n):
+    one gaussfact._cut_factorials pass gives it for every prime.  The value
+    is (prod f_i**chi(i))**(p-1) over the units i < D/2, f_1**(p-1) on a
+    maximal field; the sign drops out of the even power.
+    """
+    D = field.D
+    for p in primes:
+        _applicability(field, p, 1)
+    tbl = character_table(field).values
+    units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
+    if field.maximal:
+        units = [1]
+    cs = sorted(units + [2 * i for i in units])
+    for p, _, facts, hs in _cut_factorials(D, cs, primes, True):
+        p2, at = p * p, dict(zip(cs, zip(facts, hs)))
+        acc = 1
+        for i in units:
+            (fn, hn), (f2n, h2n) = at[i], at[2 * i]
+            h = pow(h2n * pow(hn, -1, p2), 2 * i * (p - 1) // D, p2)
+            f = f2n * h * pow(fn * fn, -1, p2) % p2
+            acc = acc * pow(f, int(tbl[i]), p2) % p2
+        yield p, pow(acc, p - 1, p2)

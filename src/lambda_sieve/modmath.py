@@ -333,15 +333,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def primitive_root(p: int) -> int:
-    """Smallest primitive root of an odd prime p."""
-    fac = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ValueError(f"{p} is not an odd prime")
-
-
 def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """fn over items, yielded in input order, in workers processes.
 

@@ -15,6 +15,7 @@ checkpoint is the JSON state of the recurrence plus the records so far.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ __all__ = [
 TRIAL_DIVISION_BOUND = 10**6
 NONTRIVIAL_SIZE_GUARD = 10**7
 _CHECKPOINT_EVERY = 100
+_STATE = ("u_prev", "u_cur", "y_prev", "y_cur")  # the checkpoint's recurrence state
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,24 @@ def _small_factor(n: int) -> int | None:
     return None
 
 
+def _digit_count(n: int) -> int:
+    """len(str(n)) for n >= 1, from the bit length and one power of 10."""
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return d + (n >= 10**d)
+
+
+def _int_to_str(n: int) -> str:
+    """str(n), also past the 4300 digits where CPython's int str() stops."""
+    return str(decimal.Decimal(n))
+
+
+def _str_to_int(s: str) -> int:
+    """int(s), also past the 4300 digits where CPython's int() stops."""
+    return int(decimal.Decimal(s))
+
+
 def _classify(q: int, p: int, x: int) -> PellRecord:
-    digits = len(str(p))
+    digits = _digit_count(p)
     f = _small_factor(p)
     if f is not None and f != p:
         status = "composite"
@@ -146,8 +164,7 @@ def pell_search(
         saved = _read_checkpoint(checkpoint, {"kind": "pell_search"})
         if saved is not None:
             n = saved["n"]
-            up, uc = mpz(saved["u_prev"]), mpz(saved["u_cur"])
-            yp, yc = mpz(saved["y_prev"]), mpz(saved["y_cur"])
+            up, uc, yp, yc = (mpz(_str_to_int(saved[k])) for k in _STATE)
             done = [d for d in saved["records"] if d["q"] <= q_bound]
     candidates: list[tuple[int, int, int]] = []
     marks: list[tuple[int, dict]] = []  # (records due by then, state)
@@ -158,14 +175,8 @@ def pell_search(
         if n % 2 and n >= 3 and sieve[n] == n:
             candidates.append((n, int(uc) // 4, (int(yc) - 1) // 2))
         if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n == q_bound):
-            state = {
-                "kind": "pell_search",
-                "n": n,
-                "u_prev": str(int(up)),
-                "u_cur": str(int(uc)),
-                "y_prev": str(int(yp)),
-                "y_cur": str(int(yc)),
-            }
+            state = {"kind": "pell_search", "n": n}
+            state.update(zip(_STATE, (_int_to_str(int(v)) for v in (up, uc, yp, yc))))
             marks.append((len(done) + len(candidates), state))
     results = fan_out(_classify_args, candidates, workers)
     try:
@@ -182,20 +193,20 @@ def pell_search(
 def _record_dict(r: PellRecord) -> dict:
     return {
         "q": r.q,
-        "p": str(r.p_candidate),
+        "p": _int_to_str(r.p_candidate),
         "digits": r.digits,
         "status": r.status,
-        "x": str(r.x),
+        "x": _int_to_str(r.x),
     }
 
 
 def _record_from_dict(d: dict) -> PellRecord:
     return PellRecord(
         q=d["q"],
-        p_candidate=int(d["p"]),
+        p_candidate=_str_to_int(d["p"]),
         digits=d["digits"],
         status=d["status"],
-        x=int(d["x"]),
+        x=_str_to_int(d["x"]),
     )
 
 

@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from importlib import resources
 
 import pytest
 
+import lambda_sieve.cli as cli_mod
 import lambda_sieve.jacobi as jacobi_mod
 from lambda_sieve.cli import _FIELDS, main
-from lambda_sieve.pell import pell_value
+from lambda_sieve.pell import PellRecord, pell_value
 
 
 def run_cli(capsys, *argv):
@@ -131,10 +133,10 @@ class TestScanLambda:
         assert all(r[3] == "1" for r in rows)
 
     def test_worker_byte_identity(self, capsys):
-        for d in ("1", "3"):
+        for d in ("1", "3", "5", "7"):
             outs = [
                 run_cli(
-                    capsys, "scan-lambda", "--d", d, "--bound", "3000",
+                    capsys, "scan-lambda", "--d", d, "--bound", "6000",
                     "--workers", w, "--format", "csv",
                 )[1]
                 for w in ("1", "2")
@@ -171,6 +173,23 @@ class TestPellCommand:
             capsys, "pell", "--q-bound", "150", "--checkpoint", str(cp), "--format", "csv"
         )
         assert out1 == out2
+
+    def test_record_past_str_limit(self, capsys, monkeypatch):
+        p, x = pell_value(7603), 10**5000 + 7
+        rec = PellRecord(
+            q=7603, p_candidate=p, digits=4348, status="probable_prime", x=x
+        )
+        monkeypatch.setattr(cli_mod, "pell_search", lambda *a, **k: [rec])
+        dp, dx = str(decimal.Decimal(p)), str(decimal.Decimal(x))
+        rc, out = run_cli(capsys, "pell", "--q-bound", "7603", "--format", "json")
+        (row,) = json.loads(out)["rows"]
+        assert rc == 0 and row["digits"] == 4348
+        assert row["p"] == dp and row["x"] == dx
+        rc, out = run_cli(capsys, "pell", "--q-bound", "7603", "--format", "csv")
+        assert out == f"q,digits,status,p,x\n7603,4348,probable_prime,{dp},{dx}\n"
+        rc, out = run_cli(capsys, "pell", "--q-bound", "7603")
+        line = f"q=7603  digits=4348  status=probable_prime  p={dp}  x={dx}"
+        assert out == line + "\n1 rows\n"
 
 
 class TestTables:

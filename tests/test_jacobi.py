@@ -7,6 +7,7 @@ import lambda_sieve.jacobi as jacobi_mod
 from lambda_sieve.gaussfact import exceptional_fq, exceptional_general
 from lambda_sieve.jacobi import (
     CriterionInapplicable,
+    _cut_point_values,
     cornacchia_gold,
     jacobi_sum_mod_p2,
     lambda_criterion_jacobi,
@@ -190,9 +191,33 @@ class TestScan:
         f = make_field(3)
         assert scan_lambda(f, 4000, workers=2) == scan_lambda(f, 4000)
 
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 15])
+    def test_cut_point_values_equal_jacobi(self, d):
+        # maximal (2, 5, 6) and non-maximal (7, 10, 15) fields: the tree
+        # route's criterion value, not only its verdict, is the Jacobi one
+        f = make_field(d)
+        primes = list(PrimeRange(3, 5000, (f.D, 1)))
+        want = [(p, int(lambda_criterion_jacobi(f, p).criterion_value)) for p in primes]
+        assert list(_cut_point_values(f, primes)) == want
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize(
+        "d, hits", [(2, []), (5, [5881]), (6, []), (7, [19531]), (15, [1741])]
+    )
+    def test_scan_equals_per_prime_jacobi_to_4e4(self, d, hits):
+        f = make_field(d)
+        primes = list(PrimeRange(3, 40000, (f.D, 1)))
+        per_prime = [lambda_criterion_jacobi(f, p) for p in primes]
+        assert list(_cut_point_values(f, primes)) == [
+            (v.p, int(v.criterion_value)) for v in per_prime
+        ]
+        assert scan_lambda(f, 40000) == [v for v in per_prime if v.verdict]
+        assert [v.p for v in scan_lambda(f, 40000)] == hits
+
     def test_fast_path_matches_criterion(self):
-        # maximal fields scan through the quotient-sum shortcut; spot-check
-        # the verdicts against the full criterion
+        # d = 1 and d = 3 scan through the batched xi, whose value (1+p)**xi
+        # differs from the Jacobi unit's power off the hits; check the
+        # verdicts against the full criterion
         f1 = make_field(1)
         flagged = {v.p for v in scan_lambda(f1, 2000)}
         for p in sieve_primes(PrimeRange(5, 2000, (4, 1))):

@@ -19,7 +19,6 @@ from lambda_sieve.modmath import (
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
-    primitive_root,
     sieve_primes,
     teichmuller_lift,
     wilson_quotient,
@@ -237,17 +236,6 @@ class TestTeichmuller:
         vals = {int(teichmuller_lift(a, p, 2)) for a in range(1, p)}
         for t in vals:
             assert pow(t, p - 1, p * p) == 1
-
-
-def test_primitive_root_has_full_order():
-    for p in PRIMES_200:
-        g = primitive_root(p)
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        assert len(seen) == p - 1
 
 
 class TestFanOut:

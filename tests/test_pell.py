@@ -1,3 +1,4 @@
+import decimal
 import json
 import multiprocessing
 
@@ -12,6 +13,8 @@ from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
     NONTRIVIAL_SIZE_GUARD,
     PellRecord,
+    _classify,
+    _digit_count,
     pell_implies_nontrivial,
     pell_search,
     pell_value,
@@ -152,3 +155,54 @@ class TestImplication:
         fake = PellRecord(q=9, p_candidate=pell_value(9), digits=5, status="composite", x=0)
         with pytest.raises(ValueError):
             pell_implies_nontrivial(fake)
+
+
+class TestPastStrLimit:
+    """Candidates past the 4300 digits at which CPython's int str() stops."""
+
+    def test_digit_count_equals_str_length(self):
+        for q in range(3, 1501, 2):
+            if is_probable_prime(q):
+                p = pell_value(q)
+                assert _digit_count(p) == len(str(p)), q
+        for k in range(1, 60):
+            for n in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k):
+                assert _digit_count(n) == len(str(n)), n
+
+    def test_classify_at_7603(self):
+        p = pell_value(7603)
+        rec = _classify(7603, p, 0)
+        assert rec.digits == 4348 and 10**4347 <= p < 10**4348
+        assert rec.status == "composite" and p % 91237 == 0
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        u, y = [2, 4], [0, 1]
+        for _ in range(7602):
+            u.append(4 * u[-1] - u[-2])
+            y.append(4 * y[-1] - y[-2])
+
+        def dec(n):
+            return str(decimal.Decimal(n))
+
+        cp = tmp_path / "state.json"
+        cp.write_text(
+            json.dumps(
+                {
+                    "kind": "pell_search",
+                    "n": 7601,
+                    "u_prev": dec(u[7600]),
+                    "u_cur": dec(u[7601]),
+                    "y_prev": dec(y[7600]),
+                    "y_cur": dec(y[7601]),
+                    "records": [],
+                }
+            )
+        )
+        assert pell_search(7603, checkpoint=str(cp)) == []
+        state = json.loads(cp.read_text())
+        assert state["n"] == 7603 and state["u_cur"] == dec(u[7603])
+        assert state["y_prev"] == dec(y[7602])
+        (rec,) = state["records"]
+        assert rec["q"] == 7603 and rec["digits"] == 4348
+        assert rec["p"] == dec(u[7603] // 4) and rec["x"] == dec((y[7603] - 1) // 2)
+        assert pell_search(7603, checkpoint=str(cp)) == []
