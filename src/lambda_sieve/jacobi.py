@@ -291,10 +291,14 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
     one gaussfact._cut_factorials pass gives it for every prime.  The value
     is (prod f_i**chi(i))**(p-1) over the units i < D/2, f_1**(p-1) on a
     maximal field; the sign drops out of the even power.
+
+    On sieved primes only the checks of _applicability for p = 1 (mod D)
+    and for p dividing h can fail; a prime = 1 (mod D) splits.
     """
-    D = field.D
+    D, h = field.D, field.h
     for p in primes:
-        _applicability(field, p, 1)
+        if p % D != 1 or h % p == 0:
+            _applicability(field, p, 1)  # raises CriterionInapplicable
     tbl = character_table(field).values
     units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
     if field.maximal:

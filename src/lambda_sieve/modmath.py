@@ -22,11 +22,6 @@ import numpy as np
 
 from . import _kernels
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - optional speedup only
-    mpz = int
-
 __all__ = [
     "Residue",
     "PrimeRange",
@@ -315,8 +310,7 @@ def is_probable_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    m = mpz(n)
-    return not _mr_witness(m, 2) and _strong_lucas(m)
+    return not _mr_witness(n, 2) and _strong_lucas(n)
 
 
 def _factorize(n: int) -> dict[int, int]:

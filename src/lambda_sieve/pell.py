@@ -8,6 +8,14 @@ sequence y_0 = 0, y_1 = 1 with the same recurrence gives the witness
 x = (y_q - 1)/2 tying p to the Pell identity
 (2p)**2 - 3 (2x + 1)**2 = 1.
 
+Trial division tries only the primes r = +-1 (mod 4q).  With
+alpha = 2 + sqrt 3 (norm 1), u_q = alpha**q + alpha**-q, so a prime
+r > 3 dividing u_q has alpha**(2q) = -1 in F_r[sqrt 3].  For an odd
+prime q the order of alpha is then exactly 4q (order 4 would need
+alpha**2 = 7 + 4 sqrt 3 = -1, so r | 8), and it divides r - 1 or r + 1
+because alpha has norm 1.  Neither 2 nor 3 divides a candidate: u_q / 4
+is odd, and u_n = 2, 1, 2, 1, ... (mod 3).
+
 The search runs the recurrence once and classifies the candidates in
 order through modmath.fan_out, one process pool per search; its
 checkpoint is the JSON state of the recurrence plus the records so far.
@@ -19,6 +27,8 @@ import decimal
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .gaussfact import exceptional_fq
 from .modmath import (
@@ -28,11 +38,6 @@ from .modmath import (
     fan_out,
     is_probable_prime,
 )
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - optional speedup only
-    mpz = int
 
 __all__ = [
     "PellRecord",
@@ -64,40 +69,34 @@ def pell_value(q: int) -> int:
     """u_q / 4 for odd q >= 1, by the integer recurrence."""
     if q < 1 or q % 2 == 0:
         raise ValueError("q must be odd and positive")
-    prev, cur = mpz(2), mpz(4)
+    prev, cur = 2, 4
     for _ in range(q - 1):
         prev, cur = cur, 4 * cur - prev
-    return int(cur) // 4
+    return cur // 4
 
 
-_trial_blocks: list[tuple[int, ...]] | None = None
-_trial_products: list[int] | None = None
+_trial_primes: np.ndarray | None = None  # the primes below the bound, on first use
 
 
-def _trial_tables() -> tuple[list[tuple[int, ...]], list[int]]:
-    global _trial_blocks, _trial_products
-    if _trial_blocks is None:
-        primes = [int(p) for p in _kernels.primes_upto(TRIAL_DIVISION_BOUND)]
-        _trial_blocks = [
-            tuple(primes[i : i + 64]) for i in range(0, len(primes), 64)
-        ]
-        _trial_products = [int(mpz(math.prod(b))) for b in _trial_blocks]
-    return _trial_blocks, _trial_products
+def _trial_tables(q: int) -> list[int]:
+    """The primes r < TRIAL_DIVISION_BOUND with r = +-1 (mod 4q), increasing."""
+    global _trial_primes
+    if _trial_primes is None:
+        _trial_primes = _kernels.primes_upto(TRIAL_DIVISION_BOUND)
+    res = _trial_primes % (4 * q)
+    return _trial_primes[(res == 1) | (res == 4 * q - 1)].tolist()
 
 
-def _small_factor(n: int) -> int | None:
-    """A prime divisor of n below TRIAL_DIVISION_BOUND, or None.
+def _small_factor(n: int, q: int) -> int | None:
+    """The least prime divisor of n = u_q / 4 below TRIAL_DIVISION_BOUND, or None.
 
-    Blocks of 64 primes are folded into single products so the huge
-    candidate is reduced once per block, not once per prime.
+    q must be an odd prime: then 2 + sqrt 3 has order exactly 4q modulo
+    every prime divisor r of n (module docstring), so r = +-1 (mod 4q),
+    and only those r, about 2/phi(4q) of the primes, are tried in order.
     """
-    blocks, products = _trial_tables()
-    m = mpz(n)
-    for block, prod in zip(blocks, products):
-        r = int(m % prod)
-        for q in block:
-            if r % q == 0:
-                return q
+    for r in _trial_tables(q):
+        if n % r == 0:
+            return r
     return None
 
 
@@ -119,7 +118,7 @@ def _str_to_int(s: str) -> int:
 
 def _classify(q: int, p: int, x: int) -> PellRecord:
     digits = _digit_count(p)
-    f = _small_factor(p)
+    f = _small_factor(p, q)
     if f is not None and f != p:
         status = "composite"
     elif not is_probable_prime(p):
@@ -157,14 +156,14 @@ def pell_search(
         raise ValueError("q_bound must be at least 3")
     sieve = _kernels.spf_upto(q_bound)
     n = 1
-    up, uc = mpz(2), mpz(4)  # u_{n-1}, u_n
-    yp, yc = mpz(0), mpz(1)
+    up, uc = 2, 4  # u_{n-1}, u_n
+    yp, yc = 0, 1
     done: list[dict] = []
     if checkpoint is not None:
         saved = _read_checkpoint(checkpoint, {"kind": "pell_search"})
         if saved is not None:
             n = saved["n"]
-            up, uc, yp, yc = (mpz(_str_to_int(saved[k])) for k in _STATE)
+            up, uc, yp, yc = (_str_to_int(saved[k]) for k in _STATE)
             done = [d for d in saved["records"] if d["q"] <= q_bound]
     candidates: list[tuple[int, int, int]] = []
     marks: list[tuple[int, dict]] = []  # (records due by then, state)
@@ -173,10 +172,10 @@ def pell_search(
         yp, yc = yc, 4 * yc - yp
         n += 1
         if n % 2 and n >= 3 and sieve[n] == n:
-            candidates.append((n, int(uc) // 4, (int(yc) - 1) // 2))
+            candidates.append((n, uc // 4, (yc - 1) // 2))
         if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n == q_bound):
             state = {"kind": "pell_search", "n": n}
-            state.update(zip(_STATE, (_int_to_str(int(v)) for v in (up, uc, yp, yc))))
+            state.update(zip(_STATE, map(_int_to_str, (up, uc, yp, yc))))
             marks.append((len(done) + len(candidates), state))
     results = fan_out(_classify_args, candidates, workers)
     try:

@@ -200,6 +200,15 @@ class TestScan:
         want = [(p, int(lambda_criterion_jacobi(f, p).criterion_value)) for p in primes]
         assert list(_cut_point_values(f, primes)) == want
 
+    @pytest.mark.parametrize("d", [2, 7, 15])
+    def test_cut_point_values_reject_inapplicable_prime(self, d):
+        f = make_field(d)
+        primes = list(PrimeRange(3, 500, (f.D, 1)))
+        bad = next(p for p in sieve_primes(PrimeRange(3, 500)) if p % f.D != 1)
+        for p in (bad, 1):
+            with pytest.raises(CriterionInapplicable):
+                next(_cut_point_values(f, primes + [p]))
+
     @pytest.mark.extended
     @pytest.mark.parametrize(
         "d, hits", [(2, []), (5, [5881]), (6, []), (7, [19531]), (15, [1741])]

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambda_sieve.pell as pell_mod
+from lambda_sieve._kernels import primes_upto
 from lambda_sieve.gaussfact import scan_exceptional
 from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
     NONTRIVIAL_SIZE_GUARD,
+    TRIAL_DIVISION_BOUND,
     PellRecord,
     _classify,
     _digit_count,
+    _small_factor,
+    _trial_tables,
     pell_implies_nontrivial,
     pell_search,
     pell_value,
@@ -60,6 +64,49 @@ class TestPellValue:
     def test_composite_odd_index_gives_composite(self):
         for q in (9, 15, 21, 25, 27, 33, 35):
             assert not is_probable_prime(pell_value(q))
+
+
+def odd_primes_upto(n):
+    return [q for q in range(3, n + 1, 2) if is_probable_prime(q)]
+
+
+def least_prime_divisor(n, primes):
+    """The all-primes search that trial division by r = +-1 (mod 4q) replaces."""
+    return next((r for r in primes if n % r == 0), None)
+
+
+class TestTrialDivision:
+    def test_tables_are_the_primes_plus_minus_one_mod_4q(self):
+        primes = primes_upto(TRIAL_DIVISION_BOUND).tolist()
+        for q in (3, 5, 23, 79, 997):
+            want = [r for r in primes if r % (4 * q) in (1, 4 * q - 1)]
+            assert _trial_tables(q) == want, q
+
+    @pytest.mark.parametrize(
+        "q_bound, found", [(300, 32), pytest.param(1500, 93, marks=pytest.mark.extended)]
+    )
+    def test_small_factor_equals_all_primes_search(self, q_bound, found):
+        primes = primes_upto(TRIAL_DIVISION_BOUND).tolist()
+        hits = 0
+        for q in odd_primes_upto(q_bound):
+            n = pell_value(q)
+            want = least_prime_divisor(n, primes)
+            assert _small_factor(n, q) == want, q
+            hits += want is not None
+        # q = 23: 277 and 3037 both divide, so the order of the tries shows
+        assert hits == found and _small_factor(pell_value(23), 23) == 277
+
+    def test_prime_divisors_are_plus_minus_one_mod_4q(self):
+        # the Lucas-structure fact the tables rest on, checked directly
+        primes = primes_upto(10**5).tolist()
+        divisors = 0
+        for q in odd_primes_upto(400):
+            n = pell_value(q)
+            for r in primes:
+                if n % r == 0:
+                    assert r % (4 * q) in (1, 4 * q - 1), (q, r)
+                    divisors += 1
+        assert divisors == 35
 
 
 class TestSearch:
