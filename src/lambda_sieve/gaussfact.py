@@ -16,9 +16,10 @@ Scans do not run the O(p) route once per prime.  scan_exceptional
 rewrites its xi through n! and (p-1)! mod p**2, n = (p-1)/m, plus
 Lehmer's congruences for the harmonic number H_n, and gets those
 factorials for every prime of the range in one quasi-linear pass of an
-accumulating remainder tree (_xi_batch, _factorial_residues).  The same
-pass at the cut points c (p-1)/D (_cut_factorials) gives jacobi's
-scan_lambda its criterion value on every field.  The
+accumulating remainder tree (_xi_batch, _factorial_residues), where
+(p-1)! reflects to ((p-1)/2)!.  The same pass at the cut points
+c (p-1)/D gives jacobi's scan_lambda its criterion value on every
+field: every point is k! mod p**2 at k < p - 1 (_cut_factorials).  The
 single-prime _xi_fq stays as the entry point for one prime and as the
 oracle the batched values are tested against.  The pass runs in one
 process, whatever worker count is passed; a checkpoint is written every
@@ -278,40 +279,30 @@ def _walk(
 
 
 def _cut_factorials(
-    M: int, cs: Sequence[int], primes: Sequence[int], harmonic: bool
-) -> Iterator[tuple[int, int, list[int], list[int]]]:
-    """(p, (p-1)!, [k!], [1 + p H_k]) mod p**2 per prime, at k = c (p-1)/M.
+    M: int, cs: Sequence[int], primes: Sequence[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """(p, [k! mod p**2 for k = c (p-1)/M, c in cs]) per prime, in order.
 
-    cs increases with 0 < c < M, so each prime's points, and its leaves,
-    come in column order; the primes increase and are 1 (mod M).  With
-    harmonic the pass also gets (p+k)! mod p**3 = p (p-1)! k! (1 + p H_k),
-    otherwise the last list is empty.
+    cs increases with 0 < c < M (else ValueError), so every point is below
+    p - 1 and every modulus is p**2; the primes increase and are 1 (mod M).
+    Each prime's leaves come in column order.
     """
+    if any(not 0 < c < M for c in cs) or list(cs) != sorted(set(cs)):
+        raise ValueError(f"need increasing cut points 0 < c < {M}, got {list(cs)}")
     ps = np.asarray(primes, dtype=np.int64)
-    ks = [c * (ps - 1) // M for c in cs]
-    cols = ks + [ps - 1] + ([ps + k for k in ks] if harmonic else [])
-    xs = np.concatenate(cols)
+    xs = np.concatenate([c * (ps - 1) // M for c in cs])
     order = np.argsort(xs, kind="stable")
     owner = (order % ps.size).tolist()  # leaf j belongs to primes[owner[j]]
-    cubed = len(cs) + 1  # the (p+k)! columns start here
-    moduli = [
-        p ** (3 if col >= cubed else 2)
-        for p, col in zip(ps[owner].tolist(), (order // ps.size).tolist())
-    ]
+    moduli = [primes[i] ** 2 for i in owner]
     xs = xs[order].tolist()
     del order
     found: dict[int, list[int]] = {}
     for i, r in zip(owner, _factorial_residues(xs, moduli)):
         got = found.setdefault(i, [])
         got.append(r)
-        if len(got) < len(cols):
-            continue
-        del found[i]
-        p = primes[i]
-        p2 = p * p
-        facts, fact_p = got[: len(cs)], got[len(cs)]
-        hs = [t // p * pow(fact_p * f, -1, p2) % p2 for f, t in zip(facts, got[cubed:])]
-        yield p, fact_p, facts, hs
+        if len(got) == len(cs):
+            del found[i]
+            yield primes[i], got
 
 
 # Lehmer (Ann. Math. 1938): 2 H_{(p-1)/m} = a q_p(2) + b q_p(3) (mod p)
@@ -325,22 +316,28 @@ def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
 
         xi = (H_n - w_p)/m + q_p(n!)  (mod p),   n = (p-1)/m,
 
-    so each prime needs only n! and (p-1)! mod p**2, which
-    _cut_factorials gives for all primes in one pass.  H_n comes from
-    Lehmer's congruences when m is in _LEHMER, and for any other m from
-    the 1 + p H_n of _cut_factorials.
+    and (p-1)! = prod k (p-k) over k <= h = (p-1)/2 reflects, as
+    H_h = -2 q_p(2) (mod p), to (p-1)! = (-1)**h (h!)**2 (1 + 2p q_p(2)),
+    so _cut_factorials gives all each prime needs, n! and h! mod p**2, in
+    one pass.  H_n comes from Lehmer's congruences when m is in _LEHMER,
+    for any other m from (p-1-n)! too: C(p-1, n) = (-1)**n (1 - p H_n).
     """
+    M = m if m % 2 == 0 else 2 * m  # odd primes = 1 (mod m) are 1 (mod M)
     lehmer = _LEHMER.get(m)
-    for p, fact_p, (fact_n,), hs in _cut_factorials(m, [1], primes, lehmer is None):
+    cs = sorted({M // m, M // 2} | ({M - M // m} if lehmer is None else set()))
+    for p, facts in _cut_factorials(M, cs, primes):
+        at = dict(zip(cs, facts))
+        p2, n, half = p * p, (p - 1) // m, (p - 1) // 2
+        fact_n, q2 = at[M // m], int(fermat_quotient(2, p))
+        fact_p = (-1) ** half * at[M // 2] ** 2 * (1 + 2 * p * q2) % p2
         w = (fact_p + 1) // p  # Wilson quotient: (p-1)! = -1 + w p (mod p**2)
         if lehmer is None:
-            h = (hs[0] - 1) // p
+            binom = (-1) ** n * fact_p * pow(fact_n * at[M - M // m], -1, p2)
+            h = (1 - binom) % p2 // p
         else:
             a, b = lehmer
-            h2 = a * int(fermat_quotient(2, p))
-            if b:
-                h2 += b * int(fermat_quotient(3, p))
-            h = h2 * pow(2, -1, p)
+            q3 = int(fermat_quotient(3, p)) if b else 0  # b != 0: m in {3, 6}, p != 3
+            h = (a * q2 + b * q3) * pow(2, -1, p)
         xi = (pow(m, -1, p) * (h - w) + int(fermat_quotient(fact_n, p))) % p
         yield p, xi
 

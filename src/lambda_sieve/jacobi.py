@@ -287,9 +287,11 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
 
     With n = i(p-1)/D, (n(p+1))_p! = ((p-1)!)**n n! (1 + p H_n)**n (mod p**2),
     so the ratio factor of gaussfact._ratio_factor for the unit i, which is
-    -J(psi**-i), is f_i = (2n)!/(n!)**2 ((1 + p H_{2n})/(1 + p H_n))**(2n):
-    one gaussfact._cut_factorials pass gives it for every prime.  The value
-    is (prod f_i**chi(i))**(p-1) over the units i < D/2, f_1**(p-1) on a
+    -J(psi**-i), is f_i = (2n)!/(n!)**2 ((1 + p H_{2n})/(1 + p H_n))**(2n),
+    and C(p-1, k) = (-1)**k (1 - p H_k) (mod p**2) makes the last factor
+    ((2n)! (p-1-2n)!/(n! (p-1-n)!))**(2n): points c(p-1)/D < p - 1, c in
+    {i, 2i, D-i, D-2i}, of one gaussfact._cut_factorials pass.  The value is
+    (prod f_i**chi(i))**(p-1) over the units i < D/2, f_1**(p-1) on a
     maximal field; the sign drops out of the even power.
 
     On sieved primes only the checks of _applicability for p = 1 (mod D)
@@ -303,13 +305,13 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
     units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
     if field.maximal:
         units = [1]
-    cs = sorted(units + [2 * i for i in units])
-    for p, _, facts, hs in _cut_factorials(D, cs, primes, True):
-        p2, at = p * p, dict(zip(cs, zip(facts, hs)))
+    cs = sorted({c for i in units for c in (i, 2 * i, D - i, D - 2 * i)})
+    for p, facts in _cut_factorials(D, cs, primes):
+        p2, at = p * p, dict(zip(cs, facts))
         acc = 1
         for i in units:
-            (fn, hn), (f2n, h2n) = at[i], at[2 * i]
-            h = pow(h2n * pow(hn, -1, p2), 2 * i * (p - 1) // D, p2)
-            f = f2n * h * pow(fn * fn, -1, p2) % p2
-            acc = acc * pow(f, int(tbl[i]), p2) % p2
+            e = 2 * i * (p - 1) // D  # 2n
+            num = at[2 * i] * pow(at[2 * i] * at[D - 2 * i], e, p2)
+            den = at[i] ** 2 * pow(at[i] * at[D - i], e, p2)
+            acc = acc * pow(num * pow(den, -1, p2), int(tbl[i]), p2) % p2
         yield p, pow(acc, p - 1, p2)

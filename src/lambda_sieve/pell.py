@@ -75,16 +75,12 @@ def pell_value(q: int) -> int:
     return cur // 4
 
 
-_trial_primes: np.ndarray | None = None  # the primes below the bound, on first use
-
-
 def _trial_tables(q: int) -> list[int]:
     """The primes r < TRIAL_DIVISION_BOUND with r = +-1 (mod 4q), increasing."""
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = _kernels.primes_upto(TRIAL_DIVISION_BOUND)
-    res = _trial_primes % (4 * q)
-    return _trial_primes[(res == 1) | (res == 4 * q - 1)].tolist()
+    spf = _kernels.spf_upto(TRIAL_DIVISION_BOUND + 1)  # sieved once, then cached
+    k = np.arange(4 * q, TRIAL_DIVISION_BOUND + 1, 4 * q)
+    rs = np.stack([k - 1, k + 1], axis=1).ravel()  # 4qk - 1 < 4qk + 1 < 4q(k+1) - 1
+    return rs[(rs < TRIAL_DIVISION_BOUND) & (spf[rs] == rs)].tolist()
 
 
 def _small_factor(n: int, q: int) -> int | None:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lambda_sieve import gaussfact
 from lambda_sieve.gaussfact import (
     _LEHMER,
+    _cut_factorials,
     _xi_batch,
     _xi_fq,
     cut_point_congruence_check,
@@ -246,3 +248,52 @@ class TestBatchedXi:
     def test_equals_single_prime_route_to_1e5(self, m):
         ref = _xi_reference(m, 10**5)
         assert list(_xi_batch(m, [p for p, _ in ref])) == ref
+
+    @pytest.mark.extended
+    def test_equals_single_prime_route_near_1e6(self):
+        # the top of the range, which the 10**5 tests do not reach; _xi_fq
+        # costs about 61 ms a prime here, so it checks a seeded sample
+        primes = list(PrimeRange(10**6 - 2 * 10**4, 10**6, (3, 1)))
+        got = dict(_xi_batch(3, primes))
+        assert list(got) == primes
+        for p in random.Random(0).sample(primes, 40):
+            assert got[p] == _xi_fq(p, 3), p
+
+
+class TestReflection:
+    """The two identities that keep every tree point k! at k < p - 1, mod p**2."""
+
+    def test_wilson_from_half_factorial(self):
+        # (p-1)! = (-1)**h (h!)**2 (1 + 2p q_p(2)) (mod p**2), h = (p-1)/2
+        for p in sieve_primes(PrimeRange(3, 5000)):
+            p2, h = p * p, (p - 1) // 2
+            fact_h = math.prod(range(1, h + 1)) % p2
+            fact_p = fact_h * math.prod(range(h + 1, p)) % p2
+            q2 = int(fermat_quotient(2, p))
+            assert fact_p == (-1) ** h * fact_h**2 * (1 + 2 * p * q2) % p2, p
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 7919])
+    def test_binomial_gives_harmonic_number(self, p):
+        # C(p-1, k) = (p-1)!/(k! (p-1-k)!) = (-1)**k (1 - p H_k) (mod p**2)
+        p2 = p * p
+        facts = [1]
+        for k in range(1, p):
+            facts.append(facts[-1] * k % p2)
+        for k in range(p):
+            binom = facts[p - 1] * pow(facts[k] * facts[p - 1 - k], -1, p2) % p2
+            assert binom == (-1) ** k * (1 - p * int(harmonic_mod(k, p))) % p2, k
+
+    def test_cut_factorials_are_the_factorials(self):
+        primes = list(PrimeRange(3, 2000, (12, 1)))
+        cs = [1, 5, 6, 11]
+        got = list(_cut_factorials(12, cs, primes))
+        assert [p for p, _ in got] == primes
+        for p, facts in got:
+            ks = [c * (p - 1) // 12 for c in cs]
+            assert facts == [math.factorial(k) % (p * p) for k in ks], p
+
+    @pytest.mark.parametrize("cs", [[0, 1], [1, 4], [1, 5], [2, 1], [1, 1]])
+    def test_cut_points_must_lie_below_p_minus_one(self, cs):
+        # 0 < c < M, increasing: every point is below p - 1, every modulus p**2
+        with pytest.raises(ValueError):
+            next(_cut_factorials(4, cs, [5, 13]))

@@ -191,9 +191,9 @@ class TestScan:
         f = make_field(3)
         assert scan_lambda(f, 4000, workers=2) == scan_lambda(f, 4000)
 
-    @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 15])
+    @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 11, 13, 15])
     def test_cut_point_values_equal_jacobi(self, d):
-        # maximal (2, 5, 6) and non-maximal (7, 10, 15) fields: the tree
+        # maximal (2, 5, 6) and non-maximal (7, 10, 11, 13, 15) fields: the tree
         # route's criterion value, not only its verdict, is the Jacobi one
         f = make_field(d)
         primes = list(PrimeRange(3, 5000, (f.D, 1)))

@@ -77,9 +77,10 @@ def least_prime_divisor(n, primes):
 
 class TestTrialDivision:
     def test_tables_are_the_primes_plus_minus_one_mod_4q(self):
-        primes = primes_upto(TRIAL_DIVISION_BOUND).tolist()
-        for q in (3, 5, 23, 79, 997):
-            want = [r for r in primes if r % (4 * q) in (1, 4 * q - 1)]
+        primes = primes_upto(TRIAL_DIVISION_BOUND - 1)
+        for q in odd_primes_upto(1500):
+            res = primes % (4 * q)
+            want = primes[(res == 1) | (res == 4 * q - 1)].tolist()
             assert _trial_tables(q) == want, q
 
     @pytest.mark.parametrize(
