@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto library entry points and share the
 output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
-not start a week-long scan.  Output is byte-identical for a given
-command and format regardless of --workers.
+not start a week-long scan.  Every subcommand accepts --workers, but only
+pell starts processes; output is byte-identical for a given command and
+format regardless of it.
 
 euler-check and glaisher-table read their rows off the same single xi
 pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
@@ -41,7 +42,7 @@ _FIELDS = {
 }
 
 # JSON encodes these as decimal strings: values can exceed 2**53
-_BIG_FIELDS = {"scan-lambda": {"value"}, "pell": {"p", "x"}}
+_BIG_FIELDS = {"scan-lambda": {"value"}}
 
 
 def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None:
@@ -116,9 +117,7 @@ def _csv_cell(v):
 
 def cmd_scan_exceptional(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    verdicts = scan_exceptional(
-        args.m, args.bound, workers=args.workers, checkpoint=args.checkpoint
-    )
+    verdicts = scan_exceptional(args.m, args.bound, checkpoint=args.checkpoint)
     if not args.all:
         verdicts = [v for v in verdicts if v.verdict]
     rows = [
@@ -135,7 +134,7 @@ def cmd_scan_lambda(args, parser) -> int:
         field = make_field(args.d)
     except ValueError as exc:
         parser.error(f"--d {args.d}: {exc}")
-    hits = scan_lambda(field, args.bound, workers=args.workers)
+    hits = scan_lambda(field, args.bound)
     rows = [
         {"d": args.d, "p": v.p, "method": v.method, "value": int(v.criterion_value)}
         for v in hits

@@ -21,9 +21,8 @@ accumulating remainder tree (_xi_batch, _factorial_residues), where
 c (p-1)/D gives jacobi's scan_lambda its criterion value on every
 field: every point is k! mod p**2 at k < p - 1 (_cut_factorials).  The
 single-prime _xi_fq stays as the entry point for one prime and as the
-oracle the batched values are tested against.  The pass runs in one
-process, whatever worker count is passed; a checkpoint is written every
-6400 primes as the walk finishes them, in increasing p.
+oracle the batched values are tested against.  A checkpoint is written
+every 6400 primes as the walk finishes them, in increasing p.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
         raise ValueError("p**(2r) out of int64 range")
     if field.h % p == 0:
         raise ValueError(f"p = {p} divides the class number {field.h}")
-    tbl = character_table(field).values
+    tbl = character_table(field)
     if p == 3 and tbl[2 % D] == -1 and field.d != 3:
         raise ValueError("p = 3 is excluded when chi(2) = -1")
     p2 = p * p
@@ -261,12 +260,24 @@ def _factorial_residues(xs: Sequence[int], moduli: Sequence[int]) -> Iterator[in
         yield from _walk(tree, xs, len(tree) - 1, 0, 1, False)
 
 
+# below this many factors a range is multiplied one factor at a time
+_RANGE_PROD_SPLIT = 64
+
+
+def _range_prod(lo: int, hi: int) -> int:
+    """prod(range(lo, hi)) by binary splitting, so a long gap is not quadratic."""
+    if hi - lo < _RANGE_PROD_SPLIT:
+        return math.prod(range(lo, hi))
+    mid = (lo + hi) // 2
+    return _range_prod(lo, mid) * _range_prod(mid, hi)
+
+
 def _walk(
     tree: list[list[int]], xs: Sequence[int], depth: int, j: int, v: int, need: bool
 ):
     """Yield the leaves under node (depth, j); return its gap product if need."""
     if depth == 0:
-        gap = math.prod(range(xs[j - 1] + 1 if j else 1, xs[j] + 1))
+        gap = _range_prod(xs[j - 1] + 1 if j else 1, xs[j] + 1)
         yield v * gap % tree[0][j]
         return gap
     below = tree[depth - 1]
@@ -345,7 +356,6 @@ def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
 def scan_exceptional(
     m: int,
     bound: int,
-    workers: int = 1,
     start: int = 3,
     checkpoint: str | None = None,
 ) -> list[ExceptionalVerdict]:
@@ -354,8 +364,7 @@ def scan_exceptional(
     Returns one ExceptionalVerdict per prime, in increasing order, with
     the xi of _xi_fq.  The primes are done together in one pass of
     _xi_batch, an accumulating remainder tree, rather than with O(p)
-    work each; workers is accepted for API compatibility and starts no
-    processes.  With checkpoint set, the (p, xi) pairs found so far are
+    work each.  With checkpoint set, the (p, xi) pairs found so far are
     saved after every 6400 new primes and at the end, and a rerun with
     the same m and start resumes after the last saved prime.  A rerun
     with a smaller bound returns the saved pairs with p <= bound.

@@ -60,7 +60,6 @@ class LambdaVerdict:
 
     field: QuadField
     p: int
-    r: int
     method: str
     criterion_value: Residue
     verdict: bool
@@ -115,7 +114,7 @@ def _applicability(field: QuadField, p: int, r: int) -> None:
         raise CriterionInapplicable(f"p = {p} is inert in the field")
     if field.h % p == 0:
         raise CriterionInapplicable(f"p = {p} divides the class number")
-    tbl = character_table(field).values
+    tbl = character_table(field)
     if p == 3 and field.d != 3 and tbl[2 % D] == -1:
         raise CriterionInapplicable("p = 3 is excluded when chi(2) = -1")
 
@@ -134,7 +133,7 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     if field.maximal:
         u = int(jacobi_sum_mod_p2(p, D, -1))
     else:
-        tbl = character_table(field).values
+        tbl = character_table(field)
         u = 1
         for i in range(1, D // 2):
             if math.gcd(i, D) != 1:
@@ -145,7 +144,6 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     return LambdaVerdict(
         field=field,
         p=p,
-        r=1,
         method="jacobi",
         criterion_value=Residue(v, p2),
         verdict=v == 1,
@@ -253,18 +251,16 @@ def cornacchia_gold(
     return LambdaVerdict(
         field=field,
         p=p,
-        r=1,
         method="cornacchia",
         criterion_value=Residue(v, p2),
         verdict=v == 1,
     )
 
 
-def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVerdict]:
+def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
     """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
 
-    One remainder-tree pass of gaussfact does every prime; workers is
-    accepted for API compatibility and starts no processes.  d = 1 and
+    One remainder-tree pass of gaussfact does every prime.  d = 1 and
     d = 3 test xi = 0 (method fermat_quotient, value (1+p)**xi), every
     other field the value of _cut_point_values (method jacobi).
     """
@@ -276,7 +272,7 @@ def scan_lambda(field: QuadField, bound: int, workers: int = 1) -> list[LambdaVe
     else:
         method, rows = "jacobi", _cut_point_values(field, primes)
     return [
-        LambdaVerdict(field, p, 1, method, Residue(1, p * p), True)
+        LambdaVerdict(field, p, method, Residue(1, p * p), True)
         for p, v in rows
         if v == 1
     ]
@@ -301,7 +297,7 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
     for p in primes:
         if p % D != 1 or h % p == 0:
             _applicability(field, p, 1)  # raises CriterionInapplicable
-    tbl = character_table(field).values
+    tbl = character_table(field)
     units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
     if field.maximal:
         units = [1]

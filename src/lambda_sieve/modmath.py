@@ -49,52 +49,6 @@ class Residue:
             raise ValueError("modulus must be at least 2")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return Residue(int(other), self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Residue(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Residue(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Residue(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Residue(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Residue":
-        return Residue(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self) -> "Residue":
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
     def __int__(self) -> int:
         return self.value
 

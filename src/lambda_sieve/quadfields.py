@@ -24,7 +24,6 @@ from .modmath import _factorize, fan_out, kronecker
 
 __all__ = [
     "QuadField",
-    "CharacterTable",
     "kronecker",
     "make_field",
     "chi",
@@ -60,14 +59,6 @@ class QuadField:
     discriminant: int
     h: int
     maximal: bool
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """chi on all residues mod D, as an int64 array indexed by residue."""
-
-    D: int
-    values: np.ndarray
 
 
 def make_field(d: int) -> QuadField:
@@ -106,10 +97,9 @@ def _chi_table(disc: int, D: int) -> np.ndarray:
     return vals
 
 
-def character_table(field: QuadField) -> CharacterTable:
-    """chi tabulated on 0..D-1 (multiplicative fill over an spf sieve)."""
-    vals = _chi_table(field.discriminant, field.D)
-    return CharacterTable(D=field.D, values=vals.copy())
+def character_table(field: QuadField) -> np.ndarray:
+    """chi on 0..D-1 as an int64 array (multiplicative fill over an spf sieve)."""
+    return _chi_table(field.discriminant, field.D).copy()
 
 
 def class_number_charsum(field: QuadField) -> int:

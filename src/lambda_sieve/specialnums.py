@@ -21,9 +21,7 @@ E_{p-1} = 4p xi(p, 4) and G_{p-1} = 3p xi(p, 3) (mod p**2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from .modmath import is_probable_prime
 from .quadfields import QuadField
 
 __all__ = [
-    "SpecialSequence",
     "bernoulli_exact",
     "bernoulli_poly_exact",
     "euler_exact",
@@ -50,21 +47,6 @@ __all__ = [
 
 BERNOULLI_EXACT_LIMIT = 600
 IDENTITY_INDEX_LIMIT = 250
-
-
-@dataclass(frozen=True)
-class SpecialSequence:
-    """Values of a named sequence at indices 0..n; modulus None = exact."""
-
-    kind: str
-    values: Sequence
-    modulus: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int):
-        return self.values[n]
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -85,12 +67,12 @@ def _bernoulli_extend(n_max: int) -> None:
         _bernoulli_cache.append(-acc / (n + 1))
 
 
-def bernoulli_exact(n_max: int) -> SpecialSequence:
+def bernoulli_exact(n_max: int) -> list[Fraction]:
     """B_0..B_n as exact fractions.  n_max is capped to keep cost sane."""
     if not 0 <= n_max <= BERNOULLI_EXACT_LIMIT:
         raise ValueError(f"n_max must be in [0, {BERNOULLI_EXACT_LIMIT}]")
     _bernoulli_extend(n_max)
-    return SpecialSequence("bernoulli", list(_bernoulli_cache[: n_max + 1]))
+    return _bernoulli_cache[: n_max + 1]
 
 
 def bernoulli_poly_exact(n: int, t: Fraction) -> Fraction:
@@ -110,7 +92,7 @@ def bernoulli_poly_exact(n: int, t: Fraction) -> Fraction:
     return acc
 
 
-def euler_exact(n_max: int) -> SpecialSequence:
+def euler_exact(n_max: int) -> list[int]:
     """Euler numbers E_0..E_n as exact integers."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -123,10 +105,10 @@ def euler_exact(n_max: int) -> SpecialSequence:
         for j in range(2, n + 1, 2):
             acc += math.comb(n, j) * vals[n - j]
         vals.append(-acc)
-    return SpecialSequence("euler", vals)
+    return vals
 
 
-def glaisher_exact(n_max: int) -> SpecialSequence:
+def glaisher_exact(n_max: int) -> list[Fraction]:
     """Glaisher numbers G_0..G_n as exact fractions (G_0 = 1/2)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -139,7 +121,7 @@ def glaisher_exact(n_max: int) -> SpecialSequence:
         for j in range(2, n + 1, 2):
             acc += math.comb(n, j) * vals[n - j]
         vals.append(Fraction(-2, 3) * acc)
-    return SpecialSequence("glaisher", vals)
+    return vals
 
 
 def _modulus_prime(modulus: int) -> int:
@@ -203,38 +185,34 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     return out
 
 
-def euler_mod(n_max: int, modulus: int) -> SpecialSequence:
-    """E_0..E_n mod p**2, all-integer arithmetic throughout."""
+def euler_mod(n_max: int, modulus: int) -> np.ndarray:
+    """E_0..E_n mod p**2 as an int64 array, all-integer arithmetic throughout."""
     p = _modulus_prime(modulus)
-    vals = _even_recurrence_mod(n_max, modulus, p, 1, modulus - 1)
-    return SpecialSequence("euler", vals, modulus)
+    return _even_recurrence_mod(n_max, modulus, p, 1, modulus - 1)
 
 
-def glaisher_mod(n_max: int, modulus: int) -> SpecialSequence:
-    """G_0..G_n mod p**2 for p > 3 (2 and 3 must be invertible)."""
+def glaisher_mod(n_max: int, modulus: int) -> np.ndarray:
+    """G_0..G_n mod p**2 as an int64 array, for p > 3 (2 and 3 invertible)."""
     p = _modulus_prime(modulus)
     if p == 3:
         raise ValueError("p must exceed 3 for Glaisher numbers")
     g0 = pow(2, -1, modulus)
     mult = (-2 * pow(3, -1, modulus)) % modulus
-    vals = _even_recurrence_mod(n_max, modulus, p, g0, mult)
-    return SpecialSequence("glaisher", vals, modulus)
+    return _even_recurrence_mod(n_max, modulus, p, g0, mult)
 
 
 def euler_criterion(p: int) -> bool:
     """True iff E_{p-1} = 0 (mod p**2).  Requires p = 1 (mod 4)."""
     if p % 4 != 1 or not is_probable_prime(p):
         raise ValueError("need a prime p = 1 (mod 4)")
-    seq = euler_mod(p - 1, p * p)
-    return int(seq[p - 1]) == 0
+    return int(euler_mod(p - 1, p * p)[p - 1]) == 0
 
 
 def glaisher_criterion(p: int) -> bool:
     """True iff G_{p-1} = 0 (mod p**2).  Requires p = 1 (mod 3)."""
     if p % 3 != 1 or not is_probable_prime(p):
         raise ValueError("need a prime p = 1 (mod 3)")
-    seq = glaisher_mod(p - 1, p * p)
-    return int(seq[p - 1]) == 0
+    return int(glaisher_mod(p - 1, p * p)[p - 1]) == 0
 
 
 def residues_from_xi(m: int, bound: int) -> list[tuple[int, int]]:

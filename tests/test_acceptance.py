@@ -61,7 +61,7 @@ M4_HITS = {29789}
 
 def test_m3_scan_finds_known_exceptional_primes(capsys):
     t0 = time.perf_counter()
-    hits = {v.p for v in scan_exceptional(3, 10**5, workers=4) if v.verdict}
+    hits = {v.p for v in scan_exceptional(3, 10**5) if v.verdict}
     dt = time.perf_counter() - t0
     ok = hits == M3_HITS and dt < 60.0
     _report(capsys, "m3-scan-1e5", ok, dt, f"hits={sorted(hits)}")
@@ -71,7 +71,7 @@ def test_m3_scan_finds_known_exceptional_primes(capsys):
 
 def test_m4_scan_finds_known_exceptional_prime(capsys):
     t0 = time.perf_counter()
-    hits = {v.p for v in scan_exceptional(4, 10**5, workers=4) if v.verdict}
+    hits = {v.p for v in scan_exceptional(4, 10**5) if v.verdict}
     dt = time.perf_counter() - t0
     ok = hits == M4_HITS and dt < 60.0
     _report(capsys, "m4-scan-1e5", ok, dt, f"hits={sorted(hits)}")
@@ -82,7 +82,7 @@ def test_m4_scan_finds_known_exceptional_prime(capsys):
 @pytest.mark.extended
 def test_m3_scan_extended_bound(capsys):
     t0 = time.perf_counter()
-    hits = {v.p for v in scan_exceptional(3, 5 * 10**5, workers=4) if v.verdict}
+    hits = {v.p for v in scan_exceptional(3, 5 * 10**5) if v.verdict}
     dt = time.perf_counter() - t0
     ok = hits == M3_EXTENDED_HITS
     _report(capsys, "m3-scan-5e5", ok, dt, f"hits={sorted(hits)}")

@@ -17,3 +17,14 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     assert "modmath" in MODULES
     assert [n for n in lambda_sieve.__all__ if not hasattr(lambda_sieve, n)] == []
+
+
+def test_benchmark_gate_contract():
+    # the perfbench correctness gates import these names from the package
+    # and read these values off them
+    from lambda_sieve import cornacchia_gold, euler_exact, exceptional_direct, make_field
+
+    assert exceptional_direct(7, 3).xi.value == 2
+    assert euler_exact(4)[4] == 5
+    assert cornacchia_gold(make_field(7), 19531).verdict is True
+    assert cornacchia_gold(make_field(7), 29).verdict is False

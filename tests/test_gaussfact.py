@@ -154,11 +154,6 @@ class TestScan:
         for v in rows:
             assert v.verdict == (int(v.xi) == 0)
 
-    def test_worker_independence(self):
-        a = scan_exceptional(4, 2000, workers=1)
-        b = scan_exceptional(4, 2000, workers=2)
-        assert a == b
-
     def test_start_offset(self):
         full = scan_exceptional(3, 2000)
         tail = scan_exceptional(3, 2000, start=100)
@@ -242,6 +237,19 @@ class TestBatchedXi:
     def test_empty_and_single(self):
         assert list(_xi_batch(3, [])) == []
         assert list(_xi_batch(5, [11])) == [(11, _xi_fq(11, 5))]
+
+    def test_range_prod_is_the_product(self):
+        split = gaussfact._RANGE_PROD_SPLIT
+        for lo in (1, 2, 97, 10**5):
+            for n in [0, 1, 2, 3 * split, 1000, *range(split - 3, split + 4)]:
+                assert gaussfact._range_prod(lo, lo + n) == math.prod(range(lo, lo + n))
+
+    def test_high_start_scan(self):
+        # the first gap, 1..(start - 1)/3, is one long leaf product
+        rows = scan_exceptional(3, 302000, start=300000)
+        assert [v.p for v in rows] == list(PrimeRange(300000, 302000, (3, 1)))
+        for v in random.Random(0).sample(rows, 8):
+            assert int(v.xi) == _xi_fq(v.p, 3), v.p
 
     @pytest.mark.extended
     @pytest.mark.parametrize("m", [3, 4, 6])

@@ -187,10 +187,6 @@ class TestScan:
         assert scan_lambda(make_field(2), 3000) == []
         assert scan_lambda(make_field(6), 3000) == []
 
-    def test_worker_independence(self):
-        f = make_field(3)
-        assert scan_lambda(f, 4000, workers=2) == scan_lambda(f, 4000)
-
     @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 11, 13, 15])
     def test_cut_point_values_equal_jacobi(self, d):
         # maximal (2, 5, 6) and non-maximal (7, 10, 11, 13, 15) fields: the tree

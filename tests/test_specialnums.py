@@ -32,12 +32,12 @@ def sympy_bernoulli(n):
 
 class TestExactSequences:
     def test_bernoulli_against_sympy(self):
-        vals = bernoulli_exact(80).values
+        vals = bernoulli_exact(80)
         for n in range(81):
             assert vals[n] == sympy_bernoulli(n), n
 
     def test_euler_against_sympy(self):
-        vals = euler_exact(60).values
+        vals = euler_exact(60)
         for n in range(61):
             assert vals[n] == int(sympy.euler(n)), n
 
@@ -46,13 +46,13 @@ class TestExactSequences:
         x = sympy.symbols("x")
         f = sympy.Rational(3, 2) / (sympy.exp(x) + sympy.exp(-x) + 1)
         poly = sympy.Poly(sympy.series(f, x, 0, 22).removeO(), x)
-        vals = glaisher_exact(20).values
+        vals = glaisher_exact(20)
         for n in range(21):
             c = poly.coeff_monomial(x**n) * sympy.factorial(n)
             assert vals[n] == Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q)), n
 
     def test_glaisher_small_values(self):
-        g = glaisher_exact(8).values
+        g = glaisher_exact(8)
         assert g[0] == Fraction(1, 2)
         assert g[2] == Fraction(-1, 3)
         assert g[4] == 1
@@ -62,7 +62,7 @@ class TestExactSequences:
 
     def test_glaisher_denominators_are_powers_of_three(self):
         # apart from the leading 1/2, denominators only carry 3s
-        for n, v in enumerate(glaisher_exact(60).values):
+        for n, v in enumerate(glaisher_exact(60)):
             if n == 0:
                 continue
             den = v.denominator
