@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto library entry points and share the
 output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
-not start a week-long scan.  Every subcommand accepts --workers, but only
-pell starts processes; output is byte-identical for a given command and
-format regardless of it.
+not start a week-long scan.  An --out or --checkpoint path in a missing
+directory, or a --checkpoint file that is not a JSON object, is a usage
+error before any work starts.  Every subcommand accepts --workers, but
+only pell starts processes; output is byte-identical for a given command
+and format regardless of it.
 
 euler-check and glaisher-table read their rows off the same single xi
 pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
@@ -24,6 +26,7 @@ import sys
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
+from .modmath import _read_checkpoint
 from .pell import _int_to_str, pell_search
 from .quadfields import make_field, squarefree_values
 from .specialnums import residues_from_xi
@@ -71,6 +74,33 @@ def _int_at_least(low: int):
     return parse
 
 
+def _check_paths(parser: argparse.ArgumentParser, args) -> None:
+    """Usage error, before any work, for an --out or --checkpoint path
+    that cannot be written, or a --checkpoint file that is not one."""
+    checkpoint = getattr(args, "checkpoint", None)
+    for flag, path in (("--out", args.out), ("--checkpoint", checkpoint)):
+        if not path:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            parser.error(f"{flag} {path}: no such directory {folder}")
+        if os.path.isdir(path):
+            parser.error(f"{flag} {path} is a directory")
+    if checkpoint:
+        try:
+            _read_checkpoint(checkpoint, {})
+        except ValueError as exc:
+            parser.error(f"--checkpoint {exc}")
+
+
+def _write(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
     fields = _FIELDS[command]
     if args.format == "csv":
@@ -102,11 +132,7 @@ def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
             lines.append("  ".join(f"{f}={row[f]}" for f in fields))
         lines.append(f"{len(rows)} rows")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _csv_cell(v):
@@ -202,17 +228,15 @@ def cmd_verify(args, parser) -> int:
     results = run_checks(only=args.only)
     if not results:
         parser.error(f"no checks match {args.only!r}")
-    text = "\n".join(report_lines(results)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(report_lines(results)) + "\n")
     return 0 if all(r.ok for r in results) else 1
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--workers", type=_int_at_least(1), default=1, help="process count")
+def _add_common(
+    sp: argparse.ArgumentParser,
+    workers_help: str = "accepted for a uniform interface; runs in one process",
+) -> None:
+    sp.add_argument("--workers", type=_int_at_least(1), default=1, help=workers_help)
     sp.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="output form"
     )
@@ -256,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q-bound", type=_int_at_least(3), required=True, help="index upper bound"
     )
     sp.add_argument("--checkpoint", default=None, help="resume file path")
-    _add_common(sp)
+    _add_common(sp, "worker processes that classify the candidates")
     sp.set_defaults(fn=cmd_pell)
 
     sp = sub.add_parser("glaisher-table", help="G_(p-1) residues mod p**2")
@@ -289,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_paths(parser, args)
     return args.fn(args, parser)
 
 

@@ -37,6 +37,7 @@ from . import _kernels
 from .modmath import (
     PrimeRange,
     Residue,
+    _factorize,
     _read_checkpoint,
     _write_checkpoint,
     fermat_quotient,
@@ -64,7 +65,7 @@ class ExceptionalVerdict:
     """Outcome of one exceptionality test.
 
     xi lives mod p**alpha and is the power in
-    product**(p-1) = (1 + p)**xi; the verdict is equivalent to xi = 0.
+    product**(p-1) = (1 + p)**xi; verdict is read off it: xi = 0.
     """
 
     p: int
@@ -72,38 +73,31 @@ class ExceptionalVerdict:
     alpha: int
     method: str
     xi: Residue
-    verdict: bool
 
-    def __post_init__(self) -> None:
-        if self.verdict != (self.xi.value == 0):
-            raise ValueError("verdict inconsistent with xi")
+    @property
+    def verdict(self) -> bool:
+        return self.xi.value == 0
 
 
-def gauss_factorial(N: int, n: int, modulus: int) -> Residue:
-    """N_n! mod modulus: the product of i <= N with gcd(i, n) = 1."""
+def gauss_factorial(N: int, n: int, modulus: int) -> int:
+    """N_n! mod modulus, an int in [0, modulus): the product of i <= N
+    with gcd(i, n) = 1, for n >= 1."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N >= 1 << 62:
         raise ValueError("N too large for int64 enumeration")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    qs = []  # the primes q <= N that divide n
-    rest, q = n, 2
-    while q <= N and q * q <= rest:
-        if rest % q == 0:
-            qs.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1 if q == 2 else 2
-    if 1 < rest <= N:
-        qs.append(rest)
+    qs = [q for q in _factorize(n) if q <= N]
     acc = 1 % modulus
     for lo in range(1, N + 1, _CHUNK):
         seg = np.arange(lo, min(N, lo + _CHUNK - 1) + 1, dtype=np.int64)
         for q in qs:
             seg = seg[seg % q != 0]
         acc = acc * _kernels.prod_mod(seg % modulus, modulus) % modulus
-    return Residue(acc, modulus)
+    return acc
 
 
 def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
@@ -118,12 +112,9 @@ def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
     if modulus >= 1 << 61:
         raise ValueError("p**(alpha+1) out of int64 range")
     N = (modulus - 1) // m
-    g = int(gauss_factorial(N, p, modulus))
-    power = pow(g, p - 1, modulus)
+    power = pow(gauss_factorial(N, p, modulus), p - 1, modulus)
     xi = Residue((power - 1) // p, p**alpha)
-    return ExceptionalVerdict(
-        p=p, m=m, alpha=alpha, method="direct", xi=xi, verdict=power == 1
-    )
+    return ExceptionalVerdict(p=p, m=m, alpha=alpha, method="direct", xi=xi)
 
 
 def _check_pm(p: int, m: int) -> None:
@@ -144,8 +135,8 @@ def _xi_fq(p: int, m: int) -> int:
     exponent exactly, not just in the xi = 0 case.
     """
     n0 = (p - 1) // m
-    w = int(wilson_quotient(p))
-    h = int(harmonic_mod(n0, p))
+    w = wilson_quotient(p)
+    h = harmonic_mod(n0, p)
     if n0 >= 1:
         table = _kernels.fq_table(p, n0)
         s = int(table[1:].sum() % p)
@@ -158,15 +149,8 @@ def _xi_fq(p: int, m: int) -> int:
 def exceptional_fq(p: int, m: int) -> ExceptionalVerdict:
     """Exceptionality via the Fermat-quotient form of xi, O(p) time."""
     _check_pm(p, m)
-    xi = _xi_fq(p, m)
-    return ExceptionalVerdict(
-        p=p,
-        m=m,
-        alpha=1,
-        method="fermat_quotient",
-        xi=Residue(xi, p),
-        verdict=xi == 0,
-    )
+    xi = Residue(_xi_fq(p, m), p)
+    return ExceptionalVerdict(p=p, m=m, alpha=1, method="fermat_quotient", xi=xi)
 
 
 def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
@@ -175,8 +159,8 @@ def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
     (i*(p**(2r) - 1)/(D/2))_p! / ((i*(p**(2r) - 1)/D)_p!)**2  mod p**2.
     """
     M = p ** (2 * r)
-    half = int(gauss_factorial(i * ((M - 1) // (D // 2)), p, p2))
-    full = int(gauss_factorial(i * ((M - 1) // D), p, p2))
+    half = gauss_factorial(i * ((M - 1) // (D // 2)), p, p2)
+    full = gauss_factorial(i * ((M - 1) // D), p, p2)
     return half * pow(full * full % p2, -1, p2) % p2
 
 
@@ -226,8 +210,8 @@ def cut_point_congruence_check(p: int, n: int) -> bool:
     M = p**n
     if M >= 1 << 61:
         raise ValueError("p**n out of int64 range")
-    third = int(gauss_factorial((M - 1) // 3, p, M))
-    sixth = int(gauss_factorial((M - 1) // 6, p, M))
+    third = gauss_factorial((M - 1) // 3, p, M)
+    sixth = gauss_factorial((M - 1) // 6, p, M)
     return pow(third, 24, M) == pow(sixth, 12, M)
 
 
@@ -339,7 +323,7 @@ def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     for p, facts in _cut_factorials(M, cs, primes):
         at = dict(zip(cs, facts))
         p2, n, half = p * p, (p - 1) // m, (p - 1) // 2
-        fact_n, q2 = at[M // m], int(fermat_quotient(2, p))
+        fact_n, q2 = at[M // m], fermat_quotient(2, p)
         fact_p = (-1) ** half * at[M // 2] ** 2 * (1 + 2 * p * q2) % p2
         w = (fact_p + 1) // p  # Wilson quotient: (p-1)! = -1 + w p (mod p**2)
         if lehmer is None:
@@ -347,9 +331,9 @@ def _xi_batch(m: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
             h = (1 - binom) % p2 // p
         else:
             a, b = lehmer
-            q3 = int(fermat_quotient(3, p)) if b else 0  # b != 0: m in {3, 6}, p != 3
+            q3 = fermat_quotient(3, p) if b else 0  # b != 0: m in {3, 6}, p != 3
             h = (a * q2 + b * q3) * pow(2, -1, p)
-        xi = (pow(m, -1, p) * (h - w) + int(fermat_quotient(fact_n, p))) % p
+        xi = (pow(m, -1, p) * (h - w) + fermat_quotient(fact_n, p)) % p
         yield p, xi
 
 
@@ -396,13 +380,5 @@ def scan_exceptional(
                 },
             )
     return [
-        ExceptionalVerdict(
-            p=p,
-            m=m,
-            alpha=1,
-            method="fermat_quotient",
-            xi=Residue(x, p),
-            verdict=x == 0,
-        )
-        for p, x in pairs
+        ExceptionalVerdict(p, m, 1, "fermat_quotient", Residue(x, p)) for p, x in pairs
     ]

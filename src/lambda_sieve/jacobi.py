@@ -55,18 +55,17 @@ class LambdaVerdict:
     """Outcome of one lambda test: verdict true means lambda_p > 1.
 
     criterion_value is the (p-1)-st power of the criterion unit mod
-    p**2; the verdict is equivalent to criterion_value = 1.
+    p**2; verdict is read off it: criterion_value = 1.
     """
 
     field: QuadField
     p: int
     method: str
     criterion_value: Residue
-    verdict: bool
 
-    def __post_init__(self) -> None:
-        if self.verdict != (self.criterion_value.value == 1):
-            raise ValueError("verdict inconsistent with criterion value")
+    @property
+    def verdict(self) -> bool:
+        return self.criterion_value.value == 1
 
 
 @lru_cache(maxsize=8)
@@ -81,12 +80,13 @@ def _psi_power(p: int, D: int, i: int) -> np.ndarray:
     return _kernels.powmod(_omega_table(p), e, p * p)
 
 
-def jacobi_sum_mod_p2(p: int, D: int, i: int) -> Residue:
+def jacobi_sum_mod_p2(p: int, D: int, i: int) -> int:
     """J(psi**i) = sum over a of psi**i(a) psi**i(1-a), mod p**2.
 
-    Requires D | p - 1 and gcd(i, D) = 1.  The entries a = 0, 1 give no
-    contribution (the character vanishes at 0).  Exact for p**2 < 2**61,
-    the range of _kernels.mulmod, which raises above it.
+    An int in [0, p**2).  Requires D | p - 1 and gcd(i, D) = 1.  The
+    entries a = 0, 1 give no contribution (the character vanishes at 0).
+    Exact for p**2 < 2**61, the range of _kernels.mulmod, which raises
+    above it.
     """
     if D < 2 or (p - 1) % D:
         raise ValueError("need D dividing p - 1")
@@ -101,7 +101,7 @@ def jacobi_sum_mod_p2(p: int, D: int, i: int) -> Residue:
     for lo in range(0, x.size, step):
         part = _kernels.mulmod(x[lo : lo + step], y[lo : lo + step], p2)
         total = (total + int(part.sum())) % p2
-    return Residue(total, p2)
+    return total
 
 
 def _applicability(field: QuadField, p: int, r: int) -> None:
@@ -131,23 +131,16 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     D = field.D
     p2 = p * p
     if field.maximal:
-        u = int(jacobi_sum_mod_p2(p, D, -1))
+        u = jacobi_sum_mod_p2(p, D, -1)
     else:
         tbl = character_table(field)
         u = 1
         for i in range(1, D // 2):
             if math.gcd(i, D) != 1:
                 continue
-            j = int(jacobi_sum_mod_p2(p, D, -i))
+            j = jacobi_sum_mod_p2(p, D, -i)
             u = u * (j if tbl[i] == 1 else pow(j, -1, p2)) % p2
-    v = pow(u, p - 1, p2)
-    return LambdaVerdict(
-        field=field,
-        p=p,
-        method="jacobi",
-        criterion_value=Residue(v, p2),
-        verdict=v == 1,
-    )
+    return LambdaVerdict(field, p, "jacobi", Residue(pow(u, p - 1, p2), p2))
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -247,14 +240,7 @@ def cornacchia_gold(
     unit = e1 if e1 % p else e2
     if unit % p == 0:
         raise AssertionError("neither embedding is a unit")
-    v = pow(unit, p - 1, p2)
-    return LambdaVerdict(
-        field=field,
-        p=p,
-        method="cornacchia",
-        criterion_value=Residue(v, p2),
-        verdict=v == 1,
-    )
+    return LambdaVerdict(field, p, "cornacchia", Residue(pow(unit, p - 1, p2), p2))
 
 
 def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
@@ -272,7 +258,7 @@ def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
     else:
         method, rows = "jacobi", _cut_point_values(field, primes)
     return [
-        LambdaVerdict(field, p, method, Residue(1, p * p), True)
+        LambdaVerdict(field, p, method, Residue(1, p * p))
         for p, v in rows
         if v == 1
     ]

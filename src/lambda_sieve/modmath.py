@@ -1,11 +1,11 @@
 """Scalar modular arithmetic: residues, Fermat quotients, prime sieves.
 
 Everything here works with plain Python integers or numpy int64 arrays;
-the bulk paths live in _kernels and are wrapped by the table functions
-below.  As the bottom layer, this module also holds the primitives every
-route above shares: the Kronecker symbol, the BPSW primality test, the
-one process fan-out (fan_out) and the atomic JSON checkpoint I/O of the
-resumable searches.
+a residue is an int in [0, modulus).  The bulk paths live in _kernels
+and are wrapped by the table functions below.  As the bottom layer,
+this module also holds the primitives every route above shares: the
+Kronecker symbol, the BPSW primality test, the one process fan-out
+(fan_out) and the atomic JSON checkpoint I/O of the resumable searches.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Residue:
-    """An integer carried modulo a fixed modulus, canonical in [0, modulus)."""
+    """A verdict's xi or criterion_value: an int canonical in [0, modulus)."""
 
     value: int
     modulus: int
@@ -56,11 +56,11 @@ class Residue:
         return f"Residue({self.value}, mod {self.modulus})"
 
 
-def teichmuller_lift(a: int, p: int, k: int = 2) -> Residue:
+def teichmuller_lift(a: int, p: int, k: int = 2) -> int:
     """The unique (p-1)-st root of unity mod p**k congruent to a mod p.
 
-    Computed by iterating x -> x**p mod p**k, which converges in at
-    most k-1 steps.  Requires 1 <= k <= 3 and gcd(a, p) = 1.
+    An int in [0, p**k), computed by iterating x -> x**p mod p**k, which
+    converges in at most k-1 steps.  Requires 1 <= k <= 3 and gcd(a, p) = 1.
     """
     if not 1 <= k <= 3:
         raise ValueError("k must be 1, 2, or 3")
@@ -74,37 +74,37 @@ def teichmuller_lift(a: int, p: int, k: int = 2) -> Residue:
             break
         x = nxt
     assert pow(x, p, m) == x
-    return Residue(x, m)
+    return x
 
 
-def fermat_quotient(a: int, p: int) -> Residue:
-    """q_p(a) = (a**(p-1) - 1)/p mod p, for gcd(a, p) = 1."""
+def fermat_quotient(a: int, p: int) -> int:
+    """q_p(a) = (a**(p-1) - 1)/p mod p, an int in [0, p), for gcd(a, p) = 1."""
     if a % p == 0:
         raise ValueError("a must be coprime to p")
-    return Residue((pow(a, p - 1, p * p) - 1) // p, p)
+    return (pow(a, p - 1, p * p) - 1) // p
 
 
-def wilson_quotient(p: int) -> Residue:
-    """w_p = ((p-1)! + 1)/p mod p, computed from (p-1)! mod p**2.
+def wilson_quotient(p: int) -> int:
+    """w_p = ((p-1)! + 1)/p mod p, an int in [0, p), from (p-1)! mod p**2.
 
     Pairs a with p - a: (p-1)! = prod a*(p - a) over a <= (p-1)/2, so
     only half the range is multiplied.
     """
     if p == 2:
-        return Residue((math.factorial(1) + 1) // 2, 2)
+        return 1  # (1! + 1)/2
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     fact = _kernels.prod_mod(half * (p - half), p * p)
-    return Residue((fact + 1) // p, p)
+    return (fact + 1) // p % p  # (fact + 1)/p = p at a Wilson prime
 
 
-def harmonic_mod(n: int, p: int) -> Residue:
-    """H_n = 1 + 1/2 + ... + 1/n mod p.  Requires n < p."""
+def harmonic_mod(n: int, p: int) -> int:
+    """H_n = 1 + 1/2 + ... + 1/n mod p, an int in [0, p).  Requires n < p."""
     if n >= p:
         raise ValueError("harmonic sum needs n < p")
     if n < 1:
-        return Residue(0, p)
+        return 0
     inv = _kernels.inverse_table(n, p)
-    return Residue(int(inv[1:].sum() % p), p)
+    return int(inv[1:].sum() % p)
 
 
 @dataclass(frozen=True)
@@ -314,9 +314,17 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _read_checkpoint(path: str, header: dict) -> dict | None:
-    """The JSON payload at path, or None unless it matches every header field."""
+    """The JSON payload at path, or None unless it matches every header field.
+
+    A file at path that is not a JSON object raises ValueError naming path.
+    """
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        saved = json.load(fh)
+        try:
+            saved = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path} is not a checkpoint: {exc}") from None
+    if not isinstance(saved, dict):
+        raise ValueError(f"{path} is not a checkpoint: not a JSON object")
     return saved if all(saved.get(k) == v for k, v in header.items()) else None

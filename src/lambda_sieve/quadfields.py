@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .modmath import _factorize, fan_out, kronecker
+from .modmath import _factorize, kronecker
 
 __all__ = [
     "QuadField",
@@ -166,10 +166,9 @@ def squarefree_values(d_bound: int) -> list[int]:
     return [int(d) for d in np.flatnonzero(flags)]
 
 
-def maximal_scan(d_bound: int, workers: int = 1) -> list[int]:
+def maximal_scan(d_bound: int) -> list[int]:
     """All square-free d <= d_bound whose field is maximal, increasing."""
-    fields = fan_out(make_field, squarefree_values(d_bound), workers)
-    return [f.d for f in fields if f.maximal]
+    return [d for d in squarefree_values(d_bound) if make_field(d).maximal]
 
 
 def s_set(i: int, D: int) -> frozenset[int]:

@@ -92,36 +92,29 @@ def bernoulli_poly_exact(n: int, t: Fraction) -> Fraction:
     return acc
 
 
-def euler_exact(n_max: int) -> list[int]:
-    """Euler numbers E_0..E_n as exact integers."""
+def _even_recurrence_exact(n_max: int, g0, mult) -> list:
+    """seq[0..n_max] by the recurrence of _even_recurrence_mod without a
+    modulus, over int or Fraction g0 and mult; odd entries are 0."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    vals: list[int] = [1]
+    vals = [g0]
     for n in range(1, n_max + 1):
         if n % 2:
-            vals.append(0)
+            vals.append(0 * g0)
             continue
-        acc = 0
-        for j in range(2, n + 1, 2):
-            acc += math.comb(n, j) * vals[n - j]
-        vals.append(-acc)
+        acc = sum(math.comb(n, j) * vals[n - j] for j in range(2, n + 1, 2))
+        vals.append(mult * acc)
     return vals
+
+
+def euler_exact(n_max: int) -> list[int]:
+    """Euler numbers E_0..E_n as exact integers."""
+    return _even_recurrence_exact(n_max, 1, -1)
 
 
 def glaisher_exact(n_max: int) -> list[Fraction]:
     """Glaisher numbers G_0..G_n as exact fractions (G_0 = 1/2)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    vals: list[Fraction] = [Fraction(1, 2)]
-    for n in range(1, n_max + 1):
-        if n % 2:
-            vals.append(Fraction(0))
-            continue
-        acc = Fraction(0)
-        for j in range(2, n + 1, 2):
-            acc += math.comb(n, j) * vals[n - j]
-        vals.append(Fraction(-2, 3) * acc)
-    return vals
+    return _even_recurrence_exact(n_max, Fraction(1, 2), Fraction(-2, 3))
 
 
 def _modulus_prime(modulus: int) -> int:

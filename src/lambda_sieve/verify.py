@@ -50,6 +50,7 @@ from .quadfields import (
     maximal_scan,
     s_set,
     splits,
+    squarefree_values,
 )
 from .specialnums import (
     bernoulli_criterion,
@@ -65,7 +66,7 @@ from .specialnums import (
     raabe_identity,
 )
 
-__all__ = ["CheckResult", "run_checks", "report_lines", "check_names"]
+__all__ = ["CheckResult", "run_checks", "report_lines"]
 
 H_ONE_FIELDS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 STANDARD_FIELDS = (1, 2, 3, 5, 6)
@@ -89,10 +90,6 @@ def _check(group: str):
         return fn
 
     return deco
-
-
-def check_names() -> list[str]:
-    return [name for name, _, _ in _REGISTRY]
 
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
@@ -163,13 +160,13 @@ def teichmuller_fixed_point() -> tuple[bool, str]:
     for p in sieve_primes(PrimeRange(3, 200)):
         p2 = p * p
         for a in range(1, p):
-            t = int(teichmuller_lift(a, p, 2))
+            t = teichmuller_lift(a, p, 2)
             if pow(t, p, p2) != t or t % p != a:
                 return False, f"k=2 failed at p={p}, a={a}"
     for p in sieve_primes(PrimeRange(3, 50)):
         p3 = p**3
         for a in range(1, p):
-            t = int(teichmuller_lift(a, p, 3))
+            t = teichmuller_lift(a, p, 3)
             if pow(t, p, p3) != t or t % p != a:
                 return False, f"k=3 failed at p={p}, a={a}"
     return True, "fixed-point and reduction properties hold"
@@ -178,11 +175,11 @@ def teichmuller_fixed_point() -> tuple[bool, str]:
 @_check("modmath")
 def wilson_quotient_factorial() -> tuple[bool, str]:
     for p in sieve_primes(PrimeRange(3, 2000)):
-        if int(gauss_factorial(p - 1, p, p)) != p - 1:
+        if gauss_factorial(p - 1, p, p) != p - 1:
             return False, f"(p-1)! != -1 mod p at p={p}"
     for p in sieve_primes(PrimeRange(3, 500)):
-        w = int(wilson_quotient(p))
-        if int(gauss_factorial(p - 1, p, p * p)) != (w * p - 1) % (p * p):
+        w = wilson_quotient(p)
+        if gauss_factorial(p - 1, p, p * p) != (w * p - 1) % (p * p):
             return False, f"quotient mismatch at p={p}"
     return True, "factorial congruences match to stated bounds"
 
@@ -195,10 +192,10 @@ def harmonic_matches_exact() -> tuple[bool, str]:
                 continue
             exact = sum(Fraction(1, i) for i in range(1, n + 1))
             want = exact.numerator * pow(exact.denominator, -1, p) % p
-            if int(harmonic_mod(n, p)) != want:
-                return False, f"H_{n} mod {p} = {int(harmonic_mod(n, p))} != {want}"
+            if harmonic_mod(n, p) != want:
+                return False, f"H_{n} mod {p} = {harmonic_mod(n, p)} != {want}"
     for p in sieve_primes(PrimeRange(5, 1000)):
-        if int(harmonic_mod(p - 1, p)) != 0:
+        if harmonic_mod(p - 1, p) != 0:
             return False, f"H_(p-1) nonzero mod p at p={p}"
     return True, "matches exact rationals; full-range sum vanishes"
 
@@ -211,7 +208,7 @@ def fermat_quotient_table_agrees() -> tuple[bool, str]:
     for p in sieve_primes(PrimeRange(3, 500)):
         table = _kernels.fq_table(p, p - 1)
         for a in range(1, p):
-            if int(fermat_quotient(a, p)) != int(table[a]):
+            if fermat_quotient(a, p) != int(table[a]):
                 return False, f"table mismatch at p={p}, a={a}"
     return True, "sieve-filled tables match per-element powering"
 
@@ -222,13 +219,13 @@ def fermat_quotient_rules() -> tuple[bool, str]:
     for p in sieve_primes(PrimeRange(3, 200)):
         for _ in range(20):
             a, b = rng.randrange(1, p), rng.randrange(1, p)
-            lhs = int(fermat_quotient(a * b, p))
-            rhs = (int(fermat_quotient(a, p)) + int(fermat_quotient(b, p))) % p
+            lhs = fermat_quotient(a * b, p)
+            rhs = (fermat_quotient(a, p) + fermat_quotient(b, p)) % p
             if lhs != rhs:
                 return False, f"product rule fails at p={p}, a={a}, b={b}"
         for a in range(1, p):
-            lhs = int(fermat_quotient(a + p, p))
-            rhs = (int(fermat_quotient(a, p)) - pow(a, -1, p)) % p
+            lhs = fermat_quotient(a + p, p)
+            rhs = (fermat_quotient(a, p) - pow(a, -1, p)) % p
             if lhs != rhs:
                 return False, f"shift rule fails at p={p}, a={a}"
     for p in sieve_primes(PrimeRange(3, 50)):
@@ -237,7 +234,7 @@ def fermat_quotient_rules() -> tuple[bool, str]:
             if b % p == 0:
                 continue
             b0, b1 = b % p, b // p
-            c = (b1 * pow(b0, -1, p) - int(fermat_quotient(b0, p))) % p
+            c = (b1 * pow(b0, -1, p) - fermat_quotient(b0, p)) % p
             if b != pow(b0, p, p2) * (1 + c * p) % p2:
                 return False, f"unit decomposition fails at p={p}, b={b}"
     return True, "product, shift and unit-decomposition rules hold"
@@ -248,25 +245,14 @@ def fermat_quotient_rules() -> tuple[bool, str]:
 
 @_check("quadfields")
 def class_number_two_routes() -> tuple[bool, str]:
-    spf = _kernels.spf_upto(2000)
-    checked = 0
-    for d in range(1, 2001):
-        k, sf = d, True
-        while k > 1:
-            q = int(spf[k])
-            k //= q
-            if k % q == 0:
-                sf = False
-                break
-        if not sf:
-            continue
+    ds = squarefree_values(2000)
+    for d in ds:
         field = make_field(d)
         h1 = class_number_charsum(field)
         h2 = class_number_forms(field.discriminant)
         if h1 != h2 or h1 != field.h:
             return False, f"d={d}: charsum {h1}, forms {h2}, field {field.h}"
-        checked += 1
-    return True, f"{checked} squarefree d agree on both routes"
+    return True, f"{len(ds)} squarefree d agree on both routes"
 
 
 @_check("quadfields")
@@ -476,11 +462,7 @@ def jacobi_norm_relation() -> tuple[bool, str]:
             for i in range(1, D):
                 if math.gcd(i, D) != 1:
                     continue
-                prod = (
-                    int(jacobi_sum_mod_p2(p, D, i))
-                    * int(jacobi_sum_mod_p2(p, D, -i))
-                    % p2
-                )
+                prod = jacobi_sum_mod_p2(p, D, i) * jacobi_sum_mod_p2(p, D, -i) % p2
                 if prod != p:
                     return False, f"norm fails at p={p}, D={D}, i={i}"
     return True, "J(i) J(-i) = p mod p**2 on all tested (p, D, i)"
@@ -496,7 +478,7 @@ def jacobi_equals_minus_ratio() -> tuple[bool, str]:
             for i in range(1, (D + 1) // 2):
                 if math.gcd(i, D) != 1:
                     continue
-                j = int(jacobi_sum_mod_p2(p, D, -i))
+                j = jacobi_sum_mod_p2(p, D, -i)
                 r = _ratio_factor(p, i, D, 1, p2)
                 if (j + r) % p2 != 0:
                     return False, f"sum relation fails at p={p}, D={D}, i={i}"

@@ -192,6 +192,56 @@ class TestPellCommand:
         assert out == line + "\n1 rows\n"
 
 
+SEARCHES = [
+    ["scan-exceptional", "--m", "3", "--bound", "100"],
+    ["pell", "--q-bound", "50"],
+]
+
+
+class TestPathChecks:
+    @pytest.mark.parametrize(
+        "target, message",
+        [("missing/f.json", "no such directory"), ("", "is a directory")],
+    )
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_unwritable_path_stops_before_work(
+        self, capsys, monkeypatch, tmp_path, argv, flag, target, message
+    ):
+        ran = []
+        for name in ("scan_exceptional", "pell_search"):
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: ran.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(tmp_path / target)])
+        assert exc.value.code == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and message in err
+
+    @pytest.mark.parametrize("text", ["hello\n", "[1, 2]\n"])
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_non_object_checkpoint_is_left_alone(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint", str(path)])
+        assert exc.value.code == 2
+        assert f"{path} is not a checkpoint" in capsys.readouterr().err
+        assert path.read_text() == text
+
+
+def test_workers_help_says_what_it_does(capsys):
+    def help_text(cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    scan = help_text("scan-lambda")
+    assert "process count" not in scan
+    assert "WORKERS accepted for a uniform interface; runs in one process" in scan
+    assert "WORKERS worker processes that classify the candidates" in help_text("pell")
+
+
 class TestTables:
     def test_glaisher_default_bound(self, capsys):
         rc, out = run_cli(capsys, "glaisher-table", "--format", "csv")

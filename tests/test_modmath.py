@@ -14,6 +14,7 @@ from lambda_sieve.modmath import (
     PrimeRange,
     Residue,
     _mr_witness,
+    _read_checkpoint,
     _strong_lucas,
     fan_out,
     fermat_quotient,
@@ -156,57 +157,67 @@ class TestProbablePrime:
 class TestQuotients:
     def test_fermat_quotient_known_table(self):
         # q_5(a) for a = 1..4
-        assert [int(fermat_quotient(a, 5)) for a in (1, 2, 3, 4)] == [0, 3, 1, 1]
+        assert [fermat_quotient(a, 5) for a in (1, 2, 3, 4)] == [0, 3, 1, 1]
 
     def test_wieferich(self):
         # the only known primes with q_p(2) = 0 below 10**13
-        assert int(fermat_quotient(2, 1093)) == 0
-        assert int(fermat_quotient(2, 3511)) == 0
-        others = [p for p in PRIMES_200 if int(fermat_quotient(2, p)) == 0]
+        assert fermat_quotient(2, 1093) == 0
+        assert fermat_quotient(2, 3511) == 0
+        others = [p for p in PRIMES_200 if fermat_quotient(2, p) == 0]
         assert others == []
 
     @given(odd_primes, st.data())
     def test_product_rule(self, p, data):
         a = data.draw(st.integers(min_value=1, max_value=p - 1))
         b = data.draw(st.integers(min_value=1, max_value=p - 1))
-        lhs = int(fermat_quotient(a * b, p))
-        assert lhs == (int(fermat_quotient(a, p)) + int(fermat_quotient(b, p))) % p
+        lhs = fermat_quotient(a * b, p)
+        assert lhs == (fermat_quotient(a, p) + fermat_quotient(b, p)) % p
 
     def test_wilson_quotient_factorial_definition(self):
         for p in PRIMES_200[:20]:
-            assert int(wilson_quotient(p)) == (math.factorial(p - 1) + 1) // p % p
+            assert wilson_quotient(p) == (math.factorial(p - 1) + 1) // p % p
 
     def test_wilson_primes(self):
         # w_p = 0 mod p exactly at 5, 13, 563 in this range
-        hits = [p for p in PRIMES_200 if int(wilson_quotient(p)) == 0]
+        hits = [p for p in PRIMES_200 if wilson_quotient(p) == 0]
         assert hits == [5, 13]
-        assert int(wilson_quotient(563)) == 0
+        assert wilson_quotient(563) == 0
+
+    def test_residues_are_canonical_ints(self):
+        p = 563  # a Wilson prime: ((p-1)! + 1)/p = p before the reduction
+        for got, modulus in [
+            (fermat_quotient(-2, p), p),
+            (wilson_quotient(p), p),
+            (harmonic_mod(p - 1, p), p),
+            (teichmuller_lift(-2, p, 3), p**3),
+        ]:
+            assert type(got) is int and 0 <= got < modulus
 
     @given(odd_primes, st.data())
     def test_harmonic_matches_fractions(self, p, data):
         n = data.draw(st.integers(min_value=1, max_value=p - 1))
         exact = sum(Fraction(1, i) for i in range(1, n + 1))
         want = exact.numerator * pow(exact.denominator, -1, p) % p
-        assert int(harmonic_mod(n, p)) == want
+        assert harmonic_mod(n, p) == want
 
 
 class TestTeichmuller:
     @given(odd_primes, st.data())
     def test_fixed_point_mod_p2(self, p, data):
         a = data.draw(st.integers(min_value=1, max_value=p - 1))
-        t = int(teichmuller_lift(a, p, 2))
+        t = teichmuller_lift(a, p, 2)
         assert t % p == a
         assert pow(t, p, p * p) == t
 
     def test_depth_three(self):
         for p in (3, 5, 11, 31):
             for a in range(1, p):
-                t = int(teichmuller_lift(a, p, 3))
+                t = teichmuller_lift(a, p, 3)
                 assert pow(t, p, p**3) == t
 
     def test_roots_of_unity(self):
         p = 13
-        vals = {int(teichmuller_lift(a, p, 2)) for a in range(1, p)}
+        vals = {teichmuller_lift(a, p, 2) for a in range(1, p)}
         for t in vals:
             assert pow(t, p - 1, p * p) == 1
 
@@ -223,3 +234,20 @@ class TestFanOut:
         assert next(out) == 0
         out.close()
         assert not multiprocessing.active_children()
+
+
+class TestCheckpointRead:
+    @pytest.mark.parametrize("text", ["hello\n", "[1, 2]\n"])
+    def test_rejects_what_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="state.json is not a checkpoint"):
+            _read_checkpoint(str(path), {"kind": "pell_search"})
+        assert path.read_text() == text
+
+    def test_missing_or_other_header_is_none(self, tmp_path):
+        path = tmp_path / "state.json"
+        assert _read_checkpoint(str(path), {}) is None
+        path.write_text('{"kind": "pell_search", "n": 7}')
+        assert _read_checkpoint(str(path), {"kind": "scan_exceptional"}) is None
+        assert _read_checkpoint(str(path), {"kind": "pell_search"})["n"] == 7

@@ -124,9 +124,6 @@ class TestMaximalScan:
     def test_catalog_to_2000(self):
         assert maximal_scan(2000) == [1, 2, 3, 5, 6]
 
-    def test_worker_independence(self):
-        assert maximal_scan(500, workers=2) == maximal_scan(500)
-
     def test_squarefree_values(self):
         got = squarefree_values(60)
         assert got == [d for d in range(1, 61) if _sf(d)]
