@@ -4,10 +4,10 @@ Subcommands map one-to-one onto library entry points and share the
 output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
 not start a week-long scan.  An --out or --checkpoint path in a missing
-directory, or a --checkpoint file that is not a JSON object, is a usage
-error before any work starts.  Every subcommand accepts --workers, but
-only pell starts processes; output is byte-identical for a given command
-and format regardless of it.
+directory, or a --checkpoint file that is not a JSON object or lacks a
+field of its kind, is a usage error before any work starts.  Every
+subcommand accepts --workers, but only pell starts processes; output is
+byte-identical for a given command and format regardless of it.
 
 euler-check and glaisher-table read their rows off the same single xi
 pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
@@ -26,7 +26,7 @@ import sys
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
-from .modmath import _read_checkpoint
+from .modmath import CheckpointError
 from .pell import _int_to_str, pell_search
 from .quadfields import make_field, squarefree_values
 from .specialnums import residues_from_xi
@@ -76,7 +76,7 @@ def _int_at_least(low: int):
 
 def _check_paths(parser: argparse.ArgumentParser, args) -> None:
     """Usage error, before any work, for an --out or --checkpoint path
-    that cannot be written, or a --checkpoint file that is not one."""
+    that cannot be written."""
     checkpoint = getattr(args, "checkpoint", None)
     for flag, path in (("--out", args.out), ("--checkpoint", checkpoint)):
         if not path:
@@ -86,11 +86,6 @@ def _check_paths(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"{flag} {path}: no such directory {folder}")
         if os.path.isdir(path):
             parser.error(f"{flag} {path} is a directory")
-    if checkpoint:
-        try:
-            _read_checkpoint(checkpoint, {})
-        except ValueError as exc:
-            parser.error(f"--checkpoint {exc}")
 
 
 def _write(args, text: str) -> None:
@@ -314,7 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_paths(parser, args)
-    return args.fn(args, parser)
+    try:
+        return args.fn(args, parser)
+    except CheckpointError as exc:  # raised as the search reads it, before work
+        parser.error(f"--checkpoint {exc}")
 
 
 if __name__ == "__main__":

@@ -42,10 +42,9 @@ from .modmath import (
     _write_checkpoint,
     fermat_quotient,
     harmonic_mod,
-    is_probable_prime,
     wilson_quotient,
 )
-from .quadfields import QuadField, character_table
+from .quadfields import QuadField, _applicability, _check_prime, character_table
 
 __all__ = [
     "ExceptionalVerdict",
@@ -105,7 +104,7 @@ def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
 
     Requires p = 1 (mod m) and p**(alpha+1) < 2**61.
     """
-    _check_pm(p, m)
+    _check_prime(p, m)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     modulus = p ** (alpha + 1)
@@ -115,13 +114,6 @@ def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
     power = pow(gauss_factorial(N, p, modulus), p - 1, modulus)
     xi = Residue((power - 1) // p, p**alpha)
     return ExceptionalVerdict(p=p, m=m, alpha=alpha, method="direct", xi=xi)
-
-
-def _check_pm(p: int, m: int) -> None:
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if p < 3 or (p - 1) % m or not is_probable_prime(p):
-        raise ValueError(f"need a prime p = 1 (mod {m}), got {p}")
 
 
 def _xi_fq(p: int, m: int) -> int:
@@ -148,7 +140,7 @@ def _xi_fq(p: int, m: int) -> int:
 
 def exceptional_fq(p: int, m: int) -> ExceptionalVerdict:
     """Exceptionality via the Fermat-quotient form of xi, O(p) time."""
-    _check_pm(p, m)
+    _check_prime(p, m)
     xi = Residue(_xi_fq(p, m), p)
     return ExceptionalVerdict(p=p, m=m, alpha=1, method="fermat_quotient", xi=xi)
 
@@ -171,20 +163,14 @@ def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     0 < i < D/2, then raises to the (p-1)-st power; the verdict is
     whether the result is 1 mod p**2.  On a maximal field every such
     unit has chi(i) = +1, so the product is of plain ratio factors.
-    Preconditions: p**r = 1 (mod D), p splits, p does not divide the
-    class number, and p != 3 whenever chi(2) = -1 with d != 3 (this
-    keeps the ideal power coprime to p).
+    Preconditions are those of quadfields._applicability at order r, and
+    p**(2r) < 2**61.
     """
-    D = field.D  # even and at least 4 for every field make_field builds
-    if r < 1 or pow(p, r, D) != 1:
-        raise ValueError(f"need p**r = 1 (mod {D})")
+    _applicability(field, p, r)
     if p ** (2 * r) >= 1 << 61:
         raise ValueError("p**(2r) out of int64 range")
-    if field.h % p == 0:
-        raise ValueError(f"p = {p} divides the class number {field.h}")
+    D = field.D  # even and at least 4 for every field make_field builds
     tbl = character_table(field)
-    if p == 3 and tbl[2 % D] == -1 and field.d != 3:
-        raise ValueError("p = 3 is excluded when chi(2) = -1")
     p2 = p * p
     acc = 1
     for i in range(1, D // 2):
@@ -201,10 +187,9 @@ def cut_point_congruence_check(p: int, n: int) -> bool:
 
     ((p**n - 1)/3)_p!**24 = ((p**n - 1)/6)_p!**12  (mod p**n),
 
-    for p = 1 (mod 6) and n >= 1.
+    for a prime p = 1 (mod 6) and n >= 1.
     """
-    if p % 6 != 1:
-        raise ValueError("need p = 1 (mod 6)")
+    _check_prime(p, 6)
     if n < 1:
         raise ValueError("n must be at least 1")
     M = p**n
@@ -361,7 +346,7 @@ def scan_exceptional(
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
         header = {"kind": "scan_exceptional", "m": m, "start": first}
-        saved = _read_checkpoint(checkpoint, header)
+        saved = _read_checkpoint(checkpoint, header, ("pairs", "next_start"))
         if saved is not None:
             pairs = [(p, x) for p, x in saved["pairs"] if p <= bound]
             lo = max(lo, saved["next_start"])

@@ -29,8 +29,15 @@ import numpy as np
 
 from . import _kernels
 from .gaussfact import _cut_factorials, _xi_batch
-from .modmath import PrimeRange, Residue, is_probable_prime
-from .quadfields import QuadField, character_table, splits
+from .modmath import PrimeRange
+from .quadfields import (
+    CriterionInapplicable,
+    QuadField,
+    _applicability,
+    _check_prime,
+    character_table,
+    splits,
+)
 
 __all__ = [
     "CriterionInapplicable",
@@ -46,26 +53,22 @@ __all__ = [
 _PSI_SIGN = 1
 
 
-class CriterionInapplicable(ValueError):
-    """The lambda criterion's preconditions fail for this field/prime."""
-
-
 @dataclass(frozen=True)
 class LambdaVerdict:
     """Outcome of one lambda test: verdict true means lambda_p > 1.
 
     criterion_value is the (p-1)-st power of the criterion unit mod
-    p**2; verdict is read off it: criterion_value = 1.
+    p**2, an int in [0, p**2); verdict is read off it: criterion_value = 1.
     """
 
     field: QuadField
     p: int
     method: str
-    criterion_value: Residue
+    criterion_value: int
 
     @property
     def verdict(self) -> bool:
-        return self.criterion_value.value == 1
+        return self.criterion_value == 1
 
 
 @lru_cache(maxsize=8)
@@ -104,21 +107,6 @@ def jacobi_sum_mod_p2(p: int, D: int, i: int) -> int:
     return total
 
 
-def _applicability(field: QuadField, p: int, r: int) -> None:
-    D = field.D
-    if p < 3 or not is_probable_prime(p):
-        raise CriterionInapplicable(f"p = {p} is not an odd prime")
-    if pow(p, r, D) != 1:
-        raise CriterionInapplicable(f"p**{r} is not 1 mod D = {D}")
-    if not splits(field, p):
-        raise CriterionInapplicable(f"p = {p} is inert in the field")
-    if field.h % p == 0:
-        raise CriterionInapplicable(f"p = {p} divides the class number")
-    tbl = character_table(field)
-    if p == 3 and field.d != 3 and tbl[2 % D] == -1:
-        raise CriterionInapplicable("p = 3 is excluded when chi(2) = -1")
-
-
 def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     """Jacobi-sum criterion for lambda_p > 1 at a split prime p = 1 (mod D).
 
@@ -127,7 +115,7 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     0 < i < D/2.  Either way the verdict is whether its (p-1)-st power
     is 1 mod p**2.
     """
-    _applicability(field, p, 1)
+    _applicability(field, p)
     D = field.D
     p2 = p * p
     if field.maximal:
@@ -140,7 +128,7 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
                 continue
             j = jacobi_sum_mod_p2(p, D, -i)
             u = u * (j if tbl[i] == 1 else pow(j, -1, p2)) % p2
-    return LambdaVerdict(field, p, "jacobi", Residue(pow(u, p - 1, p2), p2))
+    return LambdaVerdict(field, p, "jacobi", pow(u, p - 1, p2))
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -209,8 +197,10 @@ def cornacchia_gold(
     maps the generator into Z/p**2 through a lifted square root s of
     -d, picks the embedding that is a unit, and tests its (p-1)-st
     power.  The verdict does not depend on which root s is used; pass
-    root to force one (it must square to -d mod p**2).
+    root to force one (it must square to -d mod p**2).  Unlike the other
+    criteria it takes every split prime, not only p = 1 (mod D).
     """
+    _check_prime(p)
     if field.h != 1:
         raise CriterionInapplicable(f"class number {field.h} is not 1")
     if field.D % p == 0 or not splits(field, p):
@@ -218,9 +208,7 @@ def cornacchia_gold(
     d = field.d
     p2 = p * p
     if root is None:
-        s0 = _sqrt_mod_prime(-d % p, p)
-        if s0 is None:
-            raise CriterionInapplicable(f"-{d} is not a square mod {p}")
+        s0 = _sqrt_mod_prime(-d % p, p)  # p splits, so -d is a square mod p
         # Hensel lift to mod p**2: s -> s - (s**2 + d) / (2s)
         s = (s0 - (s0 * s0 + d) * pow(2 * s0, -1, p2)) % p2
     else:
@@ -240,7 +228,7 @@ def cornacchia_gold(
     unit = e1 if e1 % p else e2
     if unit % p == 0:
         raise AssertionError("neither embedding is a unit")
-    return LambdaVerdict(field, p, "cornacchia", Residue(pow(unit, p - 1, p2), p2))
+    return LambdaVerdict(field, p, "cornacchia", pow(unit, p - 1, p2))
 
 
 def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
@@ -257,11 +245,7 @@ def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
         rows = ((p, 1 + xi * p) for p, xi in _xi_batch(4 if D == 4 else 3, primes))
     else:
         method, rows = "jacobi", _cut_point_values(field, primes)
-    return [
-        LambdaVerdict(field, p, method, Residue(1, p * p))
-        for p, v in rows
-        if v == 1
-    ]
+    return [LambdaVerdict(field, p, method, 1) for p, v in rows if v == 1]
 
 
 def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int, int]]:
@@ -282,7 +266,7 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
     D, h = field.D, field.h
     for p in primes:
         if p % D != 1 or h % p == 0:
-            _applicability(field, p, 1)  # raises CriterionInapplicable
+            _applicability(field, p)  # raises CriterionInapplicable
     tbl = character_table(field)
     units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
     if field.maximal:

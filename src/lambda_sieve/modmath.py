@@ -313,10 +313,15 @@ def _write_checkpoint(path: str, payload: dict) -> None:
         raise
 
 
-def _read_checkpoint(path: str, header: dict) -> dict | None:
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be resumed from; the message names it."""
+
+
+def _read_checkpoint(path: str, header: dict, keys: Sequence[str] = ()) -> dict | None:
     """The JSON payload at path, or None unless it matches every header field.
 
-    A file at path that is not a JSON object raises ValueError naming path.
+    A file at path that is not a JSON object, or whose header matches but
+    that lacks one of keys, raises CheckpointError naming path.
     """
     if not os.path.exists(path):
         return None
@@ -324,7 +329,12 @@ def _read_checkpoint(path: str, header: dict) -> dict | None:
         try:
             saved = json.load(fh)
         except ValueError as exc:  # not JSON, or not text
-            raise ValueError(f"{path} is not a checkpoint: {exc}") from None
+            raise CheckpointError(f"{path} is not a checkpoint: {exc}") from None
     if not isinstance(saved, dict):
-        raise ValueError(f"{path} is not a checkpoint: not a JSON object")
-    return saved if all(saved.get(k) == v for k, v in header.items()) else None
+        raise CheckpointError(f"{path} is not a checkpoint: not a JSON object")
+    if any(saved.get(k) != v for k, v in header.items()):
+        return None
+    missing = [k for k in keys if k not in saved]
+    if missing:
+        raise CheckpointError(f"{path} is not a checkpoint: no field {missing[0]!r}")
+    return saved

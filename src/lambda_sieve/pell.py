@@ -150,17 +150,18 @@ def pell_search(
     """
     if q_bound < 3:
         raise ValueError("q_bound must be at least 3")
-    sieve = _kernels.spf_upto(q_bound)
     n = 1
     up, uc = 2, 4  # u_{n-1}, u_n
     yp, yc = 0, 1
     done: list[dict] = []
     if checkpoint is not None:
-        saved = _read_checkpoint(checkpoint, {"kind": "pell_search"})
+        keys = ("n", *_STATE, "records")
+        saved = _read_checkpoint(checkpoint, {"kind": "pell_search"}, keys)
         if saved is not None:
             n = saved["n"]
             up, uc, yp, yc = (_str_to_int(saved[k]) for k in _STATE)
             done = [d for d in saved["records"] if d["q"] <= q_bound]
+    sieve = _kernels.spf_upto(q_bound)
     candidates: list[tuple[int, int, int]] = []
     marks: list[tuple[int, dict]] = []  # (records due by then, state)
     while n < q_bound:

@@ -8,7 +8,8 @@ discriminant.  Note chi has conductor |discriminant|, which properly
 divides D when d % 4 == 3, so chi can be nonzero on residues sharing a
 factor with D; counts over "units mod D" below always mask by
 gcd(j, D) == 1 explicitly.  kronecker itself lives in modmath and is
-re-exported here.
+re-exported here.  _check_prime and _applicability are the one home of
+the preconditions that every criterion checks its p against.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .modmath import _factorize, kronecker
+from .modmath import _factorize, is_probable_prime, kronecker
 
 __all__ = [
+    "CriterionInapplicable",
     "QuadField",
     "kronecker",
     "make_field",
@@ -189,3 +191,33 @@ def splits(field: QuadField, p: int) -> bool:
     if field.D % p == 0:
         raise ValueError(f"p = {p} divides D = {field.D}")
     return kronecker(field.discriminant, p) == 1
+
+
+class CriterionInapplicable(ValueError):
+    """A criterion's preconditions fail for this prime (and field)."""
+
+
+def _check_prime(p: int, m: int = 2) -> None:
+    """CriterionInapplicable unless p is a prime = 1 (mod m), for m >= 2."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if p < 3 or (p - 1) % m or not is_probable_prime(p):
+        raise CriterionInapplicable(f"need a prime p = 1 (mod {m}), got {p}")
+
+
+def _applicability(field: QuadField, p: int, r: int = 1) -> None:
+    """CriterionInapplicable unless the lambda criteria apply at p, order r.
+
+    They need r >= 1 and an odd prime p with p**r = 1 (mod D) that splits,
+    does not divide h, and is not 3 when chi(2) = -1 with d != 3 (this
+    keeps the ideal power prime to p).
+    """
+    _check_prime(p)
+    if r < 1 or pow(p, r, field.D) != 1:
+        raise CriterionInapplicable(f"p**{r} is not 1 mod D = {field.D}")
+    if not splits(field, p):
+        raise CriterionInapplicable(f"p = {p} is inert in the field")
+    if field.h % p == 0:
+        raise CriterionInapplicable(f"p = {p} divides the class number {field.h}")
+    if p == 3 and field.d != 3 and chi(field, 2) == -1:
+        raise CriterionInapplicable("p = 3 is excluded when chi(2) = -1")

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .gaussfact import _xi_fq, scan_exceptional
-from .modmath import is_probable_prime
-from .quadfields import QuadField
+from .quadfields import QuadField, _check_prime
 
 __all__ = [
     "bernoulli_exact",
@@ -119,8 +118,9 @@ def glaisher_exact(n_max: int) -> list[Fraction]:
 
 def _modulus_prime(modulus: int) -> int:
     p = math.isqrt(modulus)
-    if p * p != modulus or p < 3 or not is_probable_prime(p):
+    if p * p != modulus:
         raise ValueError("modulus must be the square of an odd prime")
+    _check_prime(p)
     return p
 
 
@@ -195,16 +195,14 @@ def glaisher_mod(n_max: int, modulus: int) -> np.ndarray:
 
 
 def euler_criterion(p: int) -> bool:
-    """True iff E_{p-1} = 0 (mod p**2).  Requires p = 1 (mod 4)."""
-    if p % 4 != 1 or not is_probable_prime(p):
-        raise ValueError("need a prime p = 1 (mod 4)")
+    """True iff E_{p-1} = 0 (mod p**2).  Requires a prime p = 1 (mod 4)."""
+    _check_prime(p, 4)
     return int(euler_mod(p - 1, p * p)[p - 1]) == 0
 
 
 def glaisher_criterion(p: int) -> bool:
-    """True iff G_{p-1} = 0 (mod p**2).  Requires p = 1 (mod 3)."""
-    if p % 3 != 1 or not is_probable_prime(p):
-        raise ValueError("need a prime p = 1 (mod 3)")
+    """True iff G_{p-1} = 0 (mod p**2).  Requires a prime p = 1 (mod 3)."""
+    _check_prime(p, 3)
     return int(glaisher_mod(p - 1, p * p)[p - 1]) == 0
 
 
@@ -231,15 +229,12 @@ def bernoulli_criterion(p: int, field: QuadField) -> bool:
     valuation >= 3, through the Fermat-quotient difference
     xi(m) - 2 xi(2m) (mod p) that it is equivalent to.  The exact
     rational evaluation is the oracle of verify's
-    bernoulli-route-vs-quotient-route check, for p <= 500.
+    bernoulli-route-vs-quotient-route check, for p <= 500.  Requires a
+    prime p = 1 (mod D).
     """
-    D = field.D
-    m = D // 2
-    if m < 2:
-        raise ValueError("field must have D >= 4")
-    if (p - 1) % D:
-        raise ValueError(f"need p = 1 (mod {D})")
-    return (_xi_fq(p, m) - 2 * _xi_fq(p, D)) % p == 0
+    D = field.D  # at least 4 for every field make_field builds
+    _check_prime(p, D)
+    return (_xi_fq(p, D // 2) - 2 * _xi_fq(p, D)) % p == 0
 
 
 def glaisher_bernoulli_identity(n: int) -> bool:

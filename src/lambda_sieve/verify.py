@@ -494,8 +494,6 @@ def lambda_routes_agree_to(bound: int) -> tuple[bool, str]:
         field = make_field(d)
         hits[d] = []
         for p in sieve_primes(PrimeRange(3, bound)):
-            if field.D % p == 0 or not splits(field, p):
-                continue
             try:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
@@ -503,8 +501,7 @@ def lambda_routes_agree_to(bound: int) -> tuple[bool, str]:
             verdicts = {"jacobi": v.verdict}
             if field.h == 1:
                 verdicts["unit"] = cornacchia_gold(field, p).verdict
-            if field.h % p:
-                verdicts["ratio"] = exceptional_general(p, field)
+            verdicts["ratio"] = exceptional_general(p, field)
             if d in (1, 3):
                 verdicts["series"] = (
                     euler_criterion(p) if d == 1 else glaisher_criterion(p)
@@ -571,13 +568,11 @@ def criterion_value_is_unit_power() -> tuple[bool, str]:
     for d in STANDARD_FIELDS:
         field = make_field(d)
         for p in sieve_primes(PrimeRange(3, 500)):
-            if field.D % p == 0 or not splits(field, p):
-                continue
             try:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
                 continue
-            if int(v.criterion_value) % p != 1:
+            if v.criterion_value % p != 1:
                 return False, f"value not 1 mod p at d={d}, p={p}"
     return True, "criterion values are principal units mod p"
 

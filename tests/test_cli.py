@@ -228,6 +228,25 @@ class TestPathChecks:
         assert f"{path} is not a checkpoint" in capsys.readouterr().err
         assert path.read_text() == text
 
+    @pytest.mark.parametrize(
+        "argv, text, field",
+        [
+            (SEARCHES[0], '{"kind": "scan_exceptional", "m": 3, "start": 3}', "pairs"),
+            (SEARCHES[1], '{"kind": "pell_search"}', "n"),
+        ],
+    )
+    def test_checkpoint_missing_field_is_left_alone(
+        self, capsys, tmp_path, argv, text, field
+    ):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a checkpoint: no field {field!r}" in err
+        assert path.read_text() == text
+
 
 def test_workers_help_says_what_it_does(capsys):
     def help_text(cmd):

@@ -19,6 +19,14 @@ def test_package_exports_resolve():
     assert [n for n in lambda_sieve.__all__ if not hasattr(lambda_sieve, n)] == []
 
 
+def test_criterion_inapplicable_is_one_class():
+    from lambda_sieve import jacobi, quadfields
+
+    assert lambda_sieve.CriterionInapplicable is quadfields.CriterionInapplicable
+    assert jacobi.CriterionInapplicable is quadfields.CriterionInapplicable
+    assert issubclass(quadfields.CriterionInapplicable, ValueError)
+
+
 def test_benchmark_gate_contract():
     # the perfbench correctness gates import these names from the package
     # and read these values off them

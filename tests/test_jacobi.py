@@ -118,6 +118,7 @@ class TestLambdaCriterion:
         f3 = make_field(3)
         for p in sieve_primes(PrimeRange(7, 400, (6, 1))):
             v = lambda_criterion_jacobi(f3, p)
+            assert type(v.criterion_value) is int and 0 <= v.criterion_value < p * p
             assert v.verdict == (int(v.criterion_value) == 1)
             assert int(v.criterion_value) % p == 1
 

@@ -5,7 +5,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_sieve.gaussfact import (
+    cut_point_congruence_check,
+    exceptional_direct,
+    exceptional_general,
+)
+from lambda_sieve.jacobi import cornacchia_gold
 from lambda_sieve.quadfields import (
+    CriterionInapplicable,
     character_table,
     chi,
     class_number_charsum,
@@ -17,6 +24,7 @@ from lambda_sieve.quadfields import (
     splits,
     squarefree_values,
 )
+from lambda_sieve.specialnums import bernoulli_criterion, euler_criterion
 
 # class numbers of Q(sqrt(-d)) from standard tables
 KNOWN_H = {
@@ -161,3 +169,23 @@ class TestSplits:
             splits(f, 5)
         with pytest.raises(ValueError):
             splits(f, 2)
+
+
+# a composite p is refused at every entry point that returns a verdict, before
+# any arithmetic: Tonelli-Shanks in cornacchia_gold never finds a non-residue
+# mod 25 or 65
+COMPOSITE_P_CALLS = {
+    "exceptional_general(21, d=5)": lambda: exceptional_general(21, make_field(5)),
+    "bernoulli_criterion(21, d=1)": lambda: bernoulli_criterion(21, make_field(1)),
+    "cut_point_congruence_check(25, 1)": lambda: cut_point_congruence_check(25, 1),
+    "cornacchia_gold(d=1, 65)": lambda: cornacchia_gold(make_field(1), 65),
+    "cornacchia_gold(d=1, 25)": lambda: cornacchia_gold(make_field(1), 25),
+    "exceptional_direct(9, 4)": lambda: exceptional_direct(9, 4),
+    "euler_criterion(21)": lambda: euler_criterion(21),
+}
+
+
+@pytest.mark.parametrize("call", COMPOSITE_P_CALLS.values(), ids=COMPOSITE_P_CALLS)
+def test_composite_p_is_inapplicable(call):
+    with pytest.raises(CriterionInapplicable, match="need a"):
+        call()
