@@ -28,6 +28,7 @@ every 6400 primes as the walk finishes them, in increasing p.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,13 +36,13 @@ import numpy as np
 
 from . import _kernels
 from .modmath import (
-    PrimeRange,
     Residue,
     _factorize,
     _read_checkpoint,
     _write_checkpoint,
     fermat_quotient,
     harmonic_mod,
+    sieve_primes,
     wilson_quotient,
 )
 from .quadfields import QuadField, _applicability, _check_prime, character_table
@@ -70,7 +71,6 @@ class ExceptionalVerdict:
     p: int
     m: int
     alpha: int
-    method: str
     xi: Residue
 
     @property
@@ -113,7 +113,7 @@ def exceptional_direct(p: int, m: int, alpha: int = 1) -> ExceptionalVerdict:
     N = (modulus - 1) // m
     power = pow(gauss_factorial(N, p, modulus), p - 1, modulus)
     xi = Residue((power - 1) // p, p**alpha)
-    return ExceptionalVerdict(p=p, m=m, alpha=alpha, method="direct", xi=xi)
+    return ExceptionalVerdict(p=p, m=m, alpha=alpha, xi=xi)
 
 
 def _xi_fq(p: int, m: int) -> int:
@@ -141,8 +141,7 @@ def _xi_fq(p: int, m: int) -> int:
 def exceptional_fq(p: int, m: int) -> ExceptionalVerdict:
     """Exceptionality via the Fermat-quotient form of xi, O(p) time."""
     _check_prime(p, m)
-    xi = Residue(_xi_fq(p, m), p)
-    return ExceptionalVerdict(p=p, m=m, alpha=1, method="fermat_quotient", xi=xi)
+    return ExceptionalVerdict(p=p, m=m, alpha=1, xi=Residue(_xi_fq(p, m), p))
 
 
 def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
@@ -346,11 +345,12 @@ def scan_exceptional(
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
         header = {"kind": "scan_exceptional", "m": m, "start": first}
-        saved = _read_checkpoint(checkpoint, header, ("pairs", "next_start"))
+        saved = _read_checkpoint(checkpoint, header, _decode_scan)
         if saved is not None:
-            pairs = [(p, x) for p, x in saved["pairs"] if p <= bound]
-            lo = max(lo, saved["next_start"])
-    primes = list(PrimeRange(lo, bound, (m, 1 % m))) if lo <= bound else []
+            kept, next_start = saved
+            pairs = [(p, x) for p, x in kept if p <= bound]
+            lo = max(lo, next_start)
+    primes = list(sieve_primes(lo, bound, m)) if lo <= bound else []
     for done, pair in enumerate(_xi_batch(m, primes), 1):
         pairs.append(pair)
         if checkpoint is not None and (
@@ -364,6 +364,10 @@ def scan_exceptional(
                     "pairs": [list(t) for t in pairs],
                 },
             )
-    return [
-        ExceptionalVerdict(p, m, 1, "fermat_quotient", Residue(x, p)) for p, x in pairs
-    ]
+    return [ExceptionalVerdict(p, m, 1, Residue(x, p)) for p, x in pairs]
+
+
+def _decode_scan(saved: dict) -> tuple[list[tuple[int, int]], int]:
+    """The checkpoint's (p, xi) pairs and next_start, both checked to be ints."""
+    pairs = [(operator.index(p), operator.index(x)) for p, x in saved["pairs"]]
+    return pairs, operator.index(saved["next_start"])

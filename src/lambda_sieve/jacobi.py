@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .gaussfact import _cut_factorials, _xi_batch
-from .modmath import PrimeRange
+from .modmath import sieve_primes
 from .quadfields import (
     CriterionInapplicable,
     QuadField,
@@ -86,13 +86,12 @@ def _psi_power(p: int, D: int, i: int) -> np.ndarray:
 def jacobi_sum_mod_p2(p: int, D: int, i: int) -> int:
     """J(psi**i) = sum over a of psi**i(a) psi**i(1-a), mod p**2.
 
-    An int in [0, p**2).  Requires D | p - 1 and gcd(i, D) = 1.  The
-    entries a = 0, 1 give no contribution (the character vanishes at 0).
-    Exact for p**2 < 2**61, the range of _kernels.mulmod, which raises
-    above it.
+    An int in [0, p**2).  Requires a prime p = 1 (mod D), checked by
+    quadfields._check_prime, and gcd(i, D) = 1.  The entries a = 0, 1
+    give no contribution (the character vanishes at 0).  Exact for
+    p**2 < 2**61, the range of _kernels.mulmod, which raises above it.
     """
-    if D < 2 or (p - 1) % D:
-        raise ValueError("need D dividing p - 1")
+    _check_prime(p, D)
     if math.gcd(i, D) != 1:
         raise ValueError("need gcd(i, D) = 1")
     p2 = p * p
@@ -239,7 +238,7 @@ def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
     other field the value of _cut_point_values (method jacobi).
     """
     D = field.D
-    primes = list(PrimeRange(3, bound, (D, 1 % D)))
+    primes = list(sieve_primes(3, bound, D))
     if field.d in (1, 3):
         method = "fermat_quotient"
         rows = ((p, 1 + xi * p) for p, xi in _xi_batch(4 if D == 4 else 3, primes))

@@ -16,7 +16,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from . import _kernels
 
 __all__ = [
     "Residue",
-    "PrimeRange",
     "teichmuller_lift",
     "fermat_quotient",
     "wilson_quotient",
@@ -107,44 +106,30 @@ def harmonic_mod(n: int, p: int) -> int:
     return int(inv[1:].sum() % p)
 
 
-@dataclass(frozen=True)
-class PrimeRange:
-    """Primes in [lower, upper], optionally restricted to a residue class.
-
-    residue_filter = (m, r) keeps only primes p with p % m == r.
-    lower must be at least 3 so that residue classes mod even m make
-    sense without special-casing 2.
-    """
-
-    lower: int
-    upper: int
-    residue_filter: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.lower < 3:
-            raise ValueError("lower bound must be at least 3")
-        if self.upper < self.lower:
-            raise ValueError("empty range")
-        if self.residue_filter is not None:
-            m, r = self.residue_filter
-            if m < 1 or not 0 <= r < m:
-                raise ValueError("bad residue filter")
-
-    def __iter__(self) -> Iterator[int]:
-        return sieve_primes(self)
-
-
 _SEGMENT = 1 << 19
 
 
-def _prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Primes in [lo, hi] as int64 arrays, one segment at a time."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return
-    base = _kernels.primes_upto(math.isqrt(hi))
-    for start in range(lo, hi + 1, _SEGMENT):
-        stop = min(start + _SEGMENT - 1, hi)
+def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
+    """The primes p = 1 (mod m) in [lower, upper], increasing.
+
+    A segmented sieve of Eratosthenes: memory stays O(sqrt(upper) +
+    segment) regardless of range width.  lower must be at least 3, so
+    that residue classes mod even m need no special case for 2.  The
+    bounds are checked on the call, before the first prime is asked for.
+    """
+    if lower < 3:
+        raise ValueError("lower bound must be at least 3")
+    if upper < lower:
+        raise ValueError("empty range")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return _sieve(lower, upper, m)
+
+
+def _sieve(lower: int, upper: int, m: int) -> Iterator[int]:
+    base = _kernels.primes_upto(math.isqrt(upper))
+    for start in range(lower, upper + 1, _SEGMENT):
+        stop = min(start + _SEGMENT - 1, upper)
         seg = np.ones(stop - start + 1, dtype=bool)
         for q in base:
             q = int(q)
@@ -153,19 +138,8 @@ def _prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
                 continue
             seg[first - start :: q] = False
         block = np.flatnonzero(seg).astype(np.int64) + start
-        if block.size:
-            yield block
-
-
-def sieve_primes(rng: PrimeRange) -> Iterator[int]:
-    """Iterate the primes of a PrimeRange (segmented sieve of Eratosthenes).
-
-    Memory stays O(sqrt(upper) + segment) regardless of range width.
-    """
-    for block in _prime_blocks(rng.lower, rng.upper):
-        if rng.residue_filter is not None:
-            m, r = rng.residue_filter
-            block = block[block % m == r]
+        if m > 1:
+            block = block[block % m == 1]
         for p in block:
             yield int(p)
 
@@ -317,11 +291,13 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be resumed from; the message names it."""
 
 
-def _read_checkpoint(path: str, header: dict, keys: Sequence[str] = ()) -> dict | None:
-    """The JSON payload at path, or None unless it matches every header field.
+def _read_checkpoint(path: str, header: dict, decode: Callable[[dict], Any]) -> Any:
+    """decode(payload) of the JSON object at path; None unless its header matches.
 
-    A file at path that is not a JSON object, or whose header matches but
-    that lacks one of keys, raises CheckpointError naming path.
+    decode reads the whole payload up front.  A file at path that is not
+    a JSON object, or whose header matches but that decode cannot read,
+    raises CheckpointError naming path: a KeyError is a missing field, a
+    TypeError or ValueError a malformed one.
     """
     if not os.path.exists(path):
         return None
@@ -334,7 +310,10 @@ def _read_checkpoint(path: str, header: dict, keys: Sequence[str] = ()) -> dict 
         raise CheckpointError(f"{path} is not a checkpoint: not a JSON object")
     if any(saved.get(k) != v for k, v in header.items()):
         return None
-    missing = [k for k in keys if k not in saved]
-    if missing:
-        raise CheckpointError(f"{path} is not a checkpoint: no field {missing[0]!r}")
-    return saved
+    try:
+        return decode(saved)
+    except KeyError as exc:
+        problem = f"no field {exc.args[0]!r}"
+    except (TypeError, ValueError) as exc:
+        problem = f"malformed payload ({type(exc).__name__}: {exc})"
+    raise CheckpointError(f"{path} is not a checkpoint: {problem}")

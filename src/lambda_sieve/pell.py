@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,9 @@ def _int_to_str(n: int) -> str:
 
 
 def _str_to_int(s: str) -> int:
-    """int(s), also past the 4300 digits where CPython's int() stops."""
+    """int(s) for a string of digits, also past CPython's 4300-digit int() limit."""
+    if not str.isdecimal(s):
+        raise ValueError(f"{s!r} is not a string of digits")
     return int(decimal.Decimal(s))
 
 
@@ -155,12 +158,10 @@ def pell_search(
     yp, yc = 0, 1
     done: list[dict] = []
     if checkpoint is not None:
-        keys = ("n", *_STATE, "records")
-        saved = _read_checkpoint(checkpoint, {"kind": "pell_search"}, keys)
+        saved = _read_checkpoint(checkpoint, {"kind": "pell_search"}, _decode_state)
         if saved is not None:
-            n = saved["n"]
-            up, uc, yp, yc = (_str_to_int(saved[k]) for k in _STATE)
-            done = [d for d in saved["records"] if d["q"] <= q_bound]
+            n, (up, uc, yp, yc), records = saved
+            done = [_record_dict(r) for r in records if r.q <= q_bound]
     sieve = _kernels.spf_upto(q_bound)
     candidates: list[tuple[int, int, int]] = []
     marks: list[tuple[int, dict]] = []  # (records due by then, state)
@@ -186,6 +187,13 @@ def pell_search(
     return [_record_from_dict(d) for d in done if d["status"] != "composite"]
 
 
+def _decode_state(saved: dict) -> tuple[int, list[int], list[PellRecord]]:
+    """The checkpoint's index n, recurrence state and records, all decoded."""
+    n = operator.index(saved["n"])
+    state = [_str_to_int(saved[k]) for k in _STATE]
+    return n, state, [_record_from_dict(d) for d in saved["records"]]
+
+
 def _record_dict(r: PellRecord) -> dict:
     return {
         "q": r.q,
@@ -198,9 +206,9 @@ def _record_dict(r: PellRecord) -> dict:
 
 def _record_from_dict(d: dict) -> PellRecord:
     return PellRecord(
-        q=d["q"],
+        q=operator.index(d["q"]),
         p_candidate=_str_to_int(d["p"]),
-        digits=d["digits"],
+        digits=operator.index(d["digits"]),
         status=d["status"],
         x=_str_to_int(d["x"]),
     )

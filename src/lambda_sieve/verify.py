@@ -33,7 +33,6 @@ from .jacobi import (
     lambda_criterion_jacobi,
 )
 from .modmath import (
-    PrimeRange,
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
@@ -124,10 +123,10 @@ def sieve_prime_count() -> tuple[bool, str]:
     n = len(_kernels.primes_upto(10**5))
     if n != 9592:
         return False, f"pi(10**5) = {n}, expected 9592"
-    m = sum(1 for _ in sieve_primes(PrimeRange(3, 10**5)))
+    m = sum(1 for _ in sieve_primes(3, 10**5))
     if m != 9591:
         return False, f"odd primes to 10**5 = {m}, expected 9591"
-    got = sum(1 for _ in sieve_primes(PrimeRange(3, 10**5, (3, 1))))
+    got = sum(1 for _ in sieve_primes(3, 10**5, 3))
     want = int(np.count_nonzero(_kernels.primes_upto(10**5) % 3 == 1))
     if got != want:
         return False, f"residue-filtered count {got} != {want}"
@@ -157,13 +156,13 @@ def probable_prime_agrees_with_sieve() -> tuple[bool, str]:
 
 @_check("modmath")
 def teichmuller_fixed_point() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(3, 200)):
+    for p in sieve_primes(3, 200):
         p2 = p * p
         for a in range(1, p):
             t = teichmuller_lift(a, p, 2)
             if pow(t, p, p2) != t or t % p != a:
                 return False, f"k=2 failed at p={p}, a={a}"
-    for p in sieve_primes(PrimeRange(3, 50)):
+    for p in sieve_primes(3, 50):
         p3 = p**3
         for a in range(1, p):
             t = teichmuller_lift(a, p, 3)
@@ -174,10 +173,10 @@ def teichmuller_fixed_point() -> tuple[bool, str]:
 
 @_check("modmath")
 def wilson_quotient_factorial() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(3, 2000)):
+    for p in sieve_primes(3, 2000):
         if gauss_factorial(p - 1, p, p) != p - 1:
             return False, f"(p-1)! != -1 mod p at p={p}"
-    for p in sieve_primes(PrimeRange(3, 500)):
+    for p in sieve_primes(3, 500):
         w = wilson_quotient(p)
         if gauss_factorial(p - 1, p, p * p) != (w * p - 1) % (p * p):
             return False, f"quotient mismatch at p={p}"
@@ -186,7 +185,7 @@ def wilson_quotient_factorial() -> tuple[bool, str]:
 
 @_check("modmath")
 def harmonic_matches_exact() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(3, 300)):
+    for p in sieve_primes(3, 300):
         for n in {1, 2, p // 3, p // 2, p - 2, p - 1}:
             if n < 1:
                 continue
@@ -194,7 +193,7 @@ def harmonic_matches_exact() -> tuple[bool, str]:
             want = exact.numerator * pow(exact.denominator, -1, p) % p
             if harmonic_mod(n, p) != want:
                 return False, f"H_{n} mod {p} = {harmonic_mod(n, p)} != {want}"
-    for p in sieve_primes(PrimeRange(5, 1000)):
+    for p in sieve_primes(5, 1000):
         if harmonic_mod(p - 1, p) != 0:
             return False, f"H_(p-1) nonzero mod p at p={p}"
     return True, "matches exact rationals; full-range sum vanishes"
@@ -205,7 +204,7 @@ def fermat_quotient_table_agrees() -> tuple[bool, str]:
     t5 = _kernels.fq_table(5, 4)
     if list(t5[1:5]) != [0, 3, 1, 1]:
         return False, f"p=5 table is {list(t5[1:5])}, expected [0, 3, 1, 1]"
-    for p in sieve_primes(PrimeRange(3, 500)):
+    for p in sieve_primes(3, 500):
         table = _kernels.fq_table(p, p - 1)
         for a in range(1, p):
             if fermat_quotient(a, p) != int(table[a]):
@@ -216,7 +215,7 @@ def fermat_quotient_table_agrees() -> tuple[bool, str]:
 @_check("modmath")
 def fermat_quotient_rules() -> tuple[bool, str]:
     rng = random.Random(20260819)
-    for p in sieve_primes(PrimeRange(3, 200)):
+    for p in sieve_primes(3, 200):
         for _ in range(20):
             a, b = rng.randrange(1, p), rng.randrange(1, p)
             lhs = fermat_quotient(a * b, p)
@@ -228,7 +227,7 @@ def fermat_quotient_rules() -> tuple[bool, str]:
             rhs = (fermat_quotient(a, p) - pow(a, -1, p)) % p
             if lhs != rhs:
                 return False, f"shift rule fails at p={p}, a={a}"
-    for p in sieve_primes(PrimeRange(3, 50)):
+    for p in sieve_primes(3, 50):
         p2 = p * p
         for b in range(1, p2):
             if b % p == 0:
@@ -297,7 +296,7 @@ def halfset_structure() -> tuple[bool, str]:
 @_check("gaussfact")
 def direct_vs_quotient_route() -> tuple[bool, str]:
     for m in (3, 4, 6):
-        for p in sieve_primes(PrimeRange(3, 2000, (m, 1))):
+        for p in sieve_primes(3, 2000, m):
             a = exceptional_direct(p, m)
             b = exceptional_fq(p, m)
             if int(a.xi) != int(b.xi) or a.verdict != b.verdict:
@@ -307,10 +306,10 @@ def direct_vs_quotient_route() -> tuple[bool, str]:
 
 @_check("gaussfact")
 def half_power_always_trivial() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(3, 500)):
+    for p in sieve_primes(3, 500):
         if not exceptional_direct(p, 2).verdict:
             return False, f"direct m=2 verdict false at p={p}"
-    for p in sieve_primes(PrimeRange(3, 2000)):
+    for p in sieve_primes(3, 2000):
         v = exceptional_fq(p, 2)
         if not v.verdict or int(v.xi) != 0:
             return False, f"m=2 exponent {int(v.xi)} at p={p}"
@@ -320,7 +319,7 @@ def half_power_always_trivial() -> tuple[bool, str]:
 @_check("gaussfact")
 def sixth_vs_cubic_verdict() -> tuple[bool, str]:
     hits3, hits6 = [], []
-    for p in sieve_primes(PrimeRange(7, 2000, (6, 1))):
+    for p in sieve_primes(7, 2000, 6):
         a, b = exceptional_fq(p, 3), exceptional_fq(p, 6)
         if a.verdict != b.verdict:
             return False, f"m=3 and m=6 verdicts differ at p={p}"
@@ -331,7 +330,7 @@ def sixth_vs_cubic_verdict() -> tuple[bool, str]:
 
 @_check("gaussfact")
 def cut_point_power_identity() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(7, 100, (6, 1))):
+    for p in sieve_primes(7, 100, 6):
         for n in (1, 2, 3):
             if not cut_point_congruence_check(p, n):
                 return False, f"identity fails at p={p}, n={n}"
@@ -383,7 +382,7 @@ def small_values_match_exact() -> tuple[bool, str]:
 
 @_check("specialnums")
 def euler_vanishes_at_quarter() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(5, 500, (4, 1))):
+    for p in sieve_primes(5, 500, 4):
         if int(euler_mod(p - 1, p * p)[p - 1]) % p != 0:
             return False, f"E_(p-1) nonzero mod p at p={p}"
     return True, "E_(p-1) = 0 mod p for p = 1 (mod 4), p <= 500"
@@ -391,7 +390,7 @@ def euler_vanishes_at_quarter() -> tuple[bool, str]:
 
 @_check("specialnums")
 def glaisher_vanishes_at_third() -> tuple[bool, str]:
-    for p in sieve_primes(PrimeRange(7, 500, (3, 1))):
+    for p in sieve_primes(7, 500, 3):
         if int(glaisher_mod(p - 1, p * p)[p - 1]) % p != 0:
             return False, f"G_(p-1) nonzero mod p at p={p}"
     return True, "G_(p-1) = 0 mod p for p = 1 (mod 3), 7 <= p <= 500"
@@ -400,7 +399,7 @@ def glaisher_vanishes_at_third() -> tuple[bool, str]:
 @_check("specialnums")
 def euler_route_vs_quotient_route() -> tuple[bool, str]:
     hits = []
-    for p in sieve_primes(PrimeRange(5, 2000, (4, 1))):
+    for p in sieve_primes(5, 2000, 4):
         a = euler_criterion(p)
         if a != exceptional_fq(p, 4).verdict:
             return False, f"routes disagree at p={p}"
@@ -412,7 +411,7 @@ def euler_route_vs_quotient_route() -> tuple[bool, str]:
 @_check("specialnums")
 def glaisher_route_vs_quotient_route() -> tuple[bool, str]:
     hits = []
-    for p in sieve_primes(PrimeRange(7, 2000, (3, 1))):
+    for p in sieve_primes(7, 2000, 3):
         a = glaisher_criterion(p)
         if a != exceptional_fq(p, 3).verdict:
             return False, f"routes disagree at p={p}"
@@ -428,7 +427,7 @@ def bernoulli_route_vs_quotient_route() -> tuple[bool, str]:
     for d in (1, 3):
         field = make_field(d)
         m = field.D // 2
-        for p in sieve_primes(PrimeRange(5, 1000, (field.D, 1))):
+        for p in sieve_primes(5, 1000, field.D):
             want = exceptional_fq(p, field.D).verdict
             if bernoulli_criterion(p, field) != want:
                 return False, f"d={d}, p={p}: routes disagree"
@@ -457,7 +456,7 @@ def bernoulli_bridge_identities() -> tuple[bool, str]:
 @_check("jacobi")
 def jacobi_norm_relation() -> tuple[bool, str]:
     for D in (4, 6, 8, 20, 24):
-        for p in sieve_primes(PrimeRange(3, 500, (D, 1))):
+        for p in sieve_primes(3, 500, D):
             p2 = p * p
             for i in range(1, D):
                 if math.gcd(i, D) != 1:
@@ -473,7 +472,7 @@ def jacobi_equals_minus_ratio() -> tuple[bool, str]:
     from .gaussfact import _ratio_factor
 
     for D in (4, 6, 8, 20, 24):
-        for p in sieve_primes(PrimeRange(3, 500, (D, 1))):
+        for p in sieve_primes(3, 500, D):
             p2 = p * p
             for i in range(1, (D + 1) // 2):
                 if math.gcd(i, D) != 1:
@@ -493,7 +492,7 @@ def lambda_routes_agree_to(bound: int) -> tuple[bool, str]:
     for d in sorted(set(STANDARD_FIELDS) | set(H_ONE_FIELDS)):
         field = make_field(d)
         hits[d] = []
-        for p in sieve_primes(PrimeRange(3, bound)):
+        for p in sieve_primes(3, bound):
             try:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
@@ -546,7 +545,7 @@ def character_power_order() -> tuple[bool, str]:
 def embedding_root_independence() -> tuple[bool, str]:
     for d in H_ONE_FIELDS:
         field = make_field(d)
-        for p in sieve_primes(PrimeRange(3, 300)):
+        for p in sieve_primes(3, 300):
             if field.D % p == 0 or not splits(field, p):
                 continue
             v1 = cornacchia_gold(field, p)
@@ -567,7 +566,7 @@ def embedding_root_independence() -> tuple[bool, str]:
 def criterion_value_is_unit_power() -> tuple[bool, str]:
     for d in STANDARD_FIELDS:
         field = make_field(d)
-        for p in sieve_primes(PrimeRange(3, 500)):
+        for p in sieve_primes(3, 500):
             try:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
@@ -643,20 +642,10 @@ def cli_byte_determinism() -> tuple[bool, str]:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 rc = main(
-                    [
-                        "scan-exceptional",
-                        "--m",
-                        "3",
-                        "--bound",
-                        "3000",
-                        "--workers",
-                        workers,
-                        "--format",
-                        fmt,
-                    ]
+                    ["pell", "--q-bound", "100", "--workers", workers, "--format", fmt]
                 )
             if rc != 0:
-                return False, f"scan exited {rc} with workers={workers}"
+                return False, f"pell exited {rc} with workers={workers}"
             pair.append(buf.getvalue())
         if pair[0] != pair[1]:
             return False, f"{fmt} output differs between worker counts"

@@ -21,7 +21,7 @@ import pytest
 
 from lambda_sieve.cli import main
 from lambda_sieve.gaussfact import scan_exceptional
-from lambda_sieve.modmath import PrimeRange
+from lambda_sieve.modmath import sieve_primes
 from lambda_sieve.pell import pell_implies_nontrivial, pell_search
 from lambda_sieve.quadfields import (
     class_number_charsum,
@@ -102,7 +102,7 @@ def test_euler_numbers_vanish_only_at_29789(capsys):
     # the same residue as the xi pass behind euler-check
     t0 = time.perf_counter()
     from_xi = residues_from_xi(4, 3 * 10**4)
-    assert [p for p, _ in from_xi] == list(PrimeRange(5, 3 * 10**4, (4, 1)))
+    assert [p for p, _ in from_xi] == list(sieve_primes(5, 3 * 10**4, 4))
     stray = []
     for p, r in from_xi:
         if p == 29789:

@@ -247,6 +247,37 @@ class TestPathChecks:
         assert f"{path} is not a checkpoint: no field {field!r}" in err
         assert path.read_text() == text
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                SEARCHES[0],
+                '{"kind": "scan_exceptional", "m": 3, "start": 3,'
+                ' "pairs": 5, "next_start": 7}',
+            ),
+            (
+                SEARCHES[1],
+                '{"kind": "pell_search", "n": 5, "u_prev": "a", "u_cur": "1",'
+                ' "y_prev": "1", "y_cur": "1", "records": []}',
+            ),
+            (
+                SEARCHES[1],
+                '{"kind": "pell_search", "n": 5, "u_prev": "1", "u_cur": "1",'
+                ' "y_prev": "1", "y_cur": "1", "records": [{"q": 3, "p": "thirteen",'
+                ' "digits": 2, "status": "prime_proven_small", "x": "7"}]}',
+            ),
+        ],
+    )
+    def test_malformed_checkpoint_is_left_alone(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a checkpoint: malformed payload" in err
+        assert path.read_text() == text
+
 
 def test_workers_help_says_what_it_does(capsys):
     def help_text(cmd):

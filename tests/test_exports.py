@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,44 @@ def test_module_exports_resolve(name):
     assert [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)] == []
 
 
+# README's Library routes, the names the benchmark's gates import, the result
+# and error types, and run_checks; everything else comes from its module
+PACKAGE_EXPORTS = {
+    "__version__",
+    "exceptional_fq",
+    "scan_exceptional",
+    "lambda_criterion_jacobi",
+    "make_field",
+    "euler_criterion",
+    "glaisher_criterion",
+    "pell_search",
+    "pell_implies_nontrivial",
+    "exceptional_direct",
+    "cornacchia_gold",
+    "euler_exact",
+    "QuadField",
+    "ExceptionalVerdict",
+    "LambdaVerdict",
+    "PellRecord",
+    "CriterionInapplicable",
+    "run_checks",
+}
+
+
 def test_package_exports_resolve():
     assert "modmath" in MODULES
     assert [n for n in lambda_sieve.__all__ if not hasattr(lambda_sieve, n)] == []
+    assert len(lambda_sieve.__all__) == len(PACKAGE_EXPORTS)
+    assert set(lambda_sieve.__all__) == PACKAGE_EXPORTS
+
+
+def test_readme_library_imports_are_exported():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = re.search(r"from lambda_sieve import \(([^)]*)\)", block).group(1)
+    imported = {n.strip() for n in names.split(",") if n.strip()}
+    assert len(imported) == 8
+    assert imported <= set(lambda_sieve.__all__)
 
 
 def test_criterion_inapplicable_is_one_class():

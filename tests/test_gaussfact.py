@@ -19,7 +19,7 @@ from lambda_sieve.gaussfact import (
     gauss_factorial,
     scan_exceptional,
 )
-from lambda_sieve.modmath import PrimeRange, fermat_quotient, harmonic_mod, sieve_primes
+from lambda_sieve.modmath import fermat_quotient, harmonic_mod, sieve_primes
 from lambda_sieve.quadfields import make_field
 
 
@@ -43,7 +43,7 @@ class TestGaussFactorial:
         assert type(got) is int and got == reference_gauss_factorial(N, n, modulus)
 
     def test_wilson(self):
-        for p in sieve_primes(PrimeRange(3, 500)):
+        for p in sieve_primes(3, 500):
             assert gauss_factorial(p - 1, p, p) == p - 1
 
     def test_rejects_bad_args(self):
@@ -75,14 +75,14 @@ class TestExceptionality:
 
     def test_routes_agree_exactly(self):
         for m in (3, 4, 5, 6, 8, 12):
-            for p in sieve_primes(PrimeRange(3, 700, (m, 1))):
+            for p in sieve_primes(3, 700, m):
                 a = exceptional_direct(p, m)
                 b = exceptional_fq(p, m)
                 assert int(a.xi) == int(b.xi)
                 assert a.verdict == b.verdict == (int(a.xi) == 0)
 
     def test_half_case_always_holds(self):
-        for p in sieve_primes(PrimeRange(3, 1000)):
+        for p in sieve_primes(3, 1000):
             v = exceptional_fq(p, 2)
             assert v.verdict and int(v.xi) == 0
 
@@ -106,7 +106,7 @@ class TestExceptionality:
             assert int(v.xi) == (pow(ref, p - 1, M) - 1) // p % (p * p)
 
     def test_level_two_implies_level_one(self):
-        for p in sieve_primes(PrimeRange(3, 300, (3, 1))):
+        for p in sieve_primes(3, 300, 3):
             if exceptional_direct(p, 3, alpha=2).verdict:
                 assert exceptional_direct(p, 3, alpha=1).verdict
 
@@ -116,13 +116,13 @@ class TestRatioRoute:
         # the maximal fields of D = 4, 6, 8
         for d in (1, 3, 2):
             f = make_field(d)
-            for p in sieve_primes(PrimeRange(3, 500, (f.D, 1))):
+            for p in sieve_primes(3, 500, f.D):
                 assert exceptional_general(p, f) == exceptional_fq(p, f.D).verdict
 
     def test_general_route_standard_fields(self):
         for d in (1, 3):
             f = make_field(d)
-            for p in sieve_primes(PrimeRange(5, 500, (f.D, 1))):
+            for p in sieve_primes(5, 500, f.D):
                 assert exceptional_general(p, f) == exceptional_fq(p, f.D).verdict
 
     def test_higher_power_residue_accepted(self):
@@ -135,7 +135,7 @@ class TestRatioRoute:
 
 class TestCutPointIdentity:
     def test_holds_everywhere(self):
-        for p in sieve_primes(PrimeRange(7, 150, (6, 1))):
+        for p in sieve_primes(7, 150, 6):
             for n in (1, 2, 3):
                 assert cut_point_congruence_check(p, n)
 
@@ -153,7 +153,7 @@ class TestScan:
 
     def test_rows_are_all_residue_primes(self):
         rows = scan_exceptional(3, 500)
-        assert [v.p for v in rows] == list(sieve_primes(PrimeRange(3, 500, (3, 1))))
+        assert [v.p for v in rows] == list(sieve_primes(3, 500, 3))
         for v in rows:
             assert v.verdict == (int(v.xi) == 0)
 
@@ -211,7 +211,7 @@ class TestScan:
 
 
 def _xi_reference(m, bound):
-    return [(p, _xi_fq(p, m)) for p in sieve_primes(PrimeRange(3, bound, (m, 1)))]
+    return [(p, _xi_fq(p, m)) for p in sieve_primes(3, bound, m)]
 
 
 def _pairs(rows):
@@ -231,7 +231,7 @@ class TestBatchedXi:
 
     def test_lehmer_harmonic_congruences(self):
         for m, (a, b) in _LEHMER.items():
-            for p in sieve_primes(PrimeRange(3, 3000, (m, 1))):
+            for p in sieve_primes(3, 3000, m):
                 twice_h = a * fermat_quotient(2, p)
                 if b:
                     twice_h += b * fermat_quotient(3, p)
@@ -250,7 +250,7 @@ class TestBatchedXi:
     def test_high_start_scan(self):
         # the first gap, 1..(start - 1)/3, is one long leaf product
         rows = scan_exceptional(3, 302000, start=300000)
-        assert [v.p for v in rows] == list(PrimeRange(300000, 302000, (3, 1)))
+        assert [v.p for v in rows] == list(sieve_primes(300000, 302000, 3))
         for v in random.Random(0).sample(rows, 8):
             assert int(v.xi) == _xi_fq(v.p, 3), v.p
 
@@ -264,7 +264,7 @@ class TestBatchedXi:
     def test_equals_single_prime_route_near_1e6(self):
         # the top of the range, which the 10**5 tests do not reach; _xi_fq
         # costs about 61 ms a prime here, so it checks a seeded sample
-        primes = list(PrimeRange(10**6 - 2 * 10**4, 10**6, (3, 1)))
+        primes = list(sieve_primes(10**6 - 2 * 10**4, 10**6, 3))
         got = dict(_xi_batch(3, primes))
         assert list(got) == primes
         for p in random.Random(0).sample(primes, 40):
@@ -276,7 +276,7 @@ class TestReflection:
 
     def test_wilson_from_half_factorial(self):
         # (p-1)! = (-1)**h (h!)**2 (1 + 2p q_p(2)) (mod p**2), h = (p-1)/2
-        for p in sieve_primes(PrimeRange(3, 5000)):
+        for p in sieve_primes(3, 5000):
             p2, h = p * p, (p - 1) // 2
             fact_h = math.prod(range(1, h + 1)) % p2
             fact_p = fact_h * math.prod(range(h + 1, p)) % p2
@@ -295,7 +295,7 @@ class TestReflection:
             assert binom == (-1) ** k * (1 - p * harmonic_mod(k, p)) % p2, k
 
     def test_cut_factorials_are_the_factorials(self):
-        primes = list(PrimeRange(3, 2000, (12, 1)))
+        primes = list(sieve_primes(3, 2000, 12))
         cs = [1, 5, 6, 11]
         got = list(_cut_factorials(12, cs, primes))
         assert [p for p, _ in got] == primes

@@ -13,7 +13,7 @@ from lambda_sieve.jacobi import (
     lambda_criterion_jacobi,
     scan_lambda,
 )
-from lambda_sieve.modmath import PrimeRange, sieve_primes
+from lambda_sieve.modmath import sieve_primes
 from lambda_sieve.quadfields import make_field, splits
 
 
@@ -60,7 +60,7 @@ class TestJacobiSums:
         import math
 
         for D in (4, 6, 8, 20):
-            for p in sieve_primes(PrimeRange(3, 300, (D, 1))):
+            for p in sieve_primes(3, 300, D):
                 p2 = p * p
                 for i in range(1, D):
                     if math.gcd(i, D) != 1:
@@ -116,7 +116,7 @@ class TestLambdaCriterion:
 
     def test_verdict_value_consistency(self):
         f3 = make_field(3)
-        for p in sieve_primes(PrimeRange(7, 400, (6, 1))):
+        for p in sieve_primes(7, 400, 6):
             v = lambda_criterion_jacobi(f3, p)
             assert type(v.criterion_value) is int and 0 <= v.criterion_value < p * p
             assert v.verdict == (int(v.criterion_value) == 1)
@@ -127,7 +127,7 @@ class TestCornacchia:
     def test_agrees_with_jacobi_everywhere(self):
         for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
             f = make_field(d)
-            for p in sieve_primes(PrimeRange(3, 400)):
+            for p in sieve_primes(3, 400):
                 if f.D % p == 0 or not splits(f, p):
                     continue
                 try:
@@ -141,7 +141,7 @@ class TestCornacchia:
         for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
             k = 4 if d % 4 == 3 else 1
             f = make_field(d)
-            for p in sieve_primes(PrimeRange(3, 3000)):
+            for p in sieve_primes(3, 3000):
                 if f.D % p == 0:
                     continue
                 sol = jacobi_mod._cornacchia(d, p)
@@ -194,15 +194,15 @@ class TestScan:
         # maximal (2, 5, 6) and non-maximal (7, 10, 11, 13, 15) fields: the tree
         # route's criterion value, not only its verdict, is the Jacobi one
         f = make_field(d)
-        primes = list(PrimeRange(3, 5000, (f.D, 1)))
+        primes = list(sieve_primes(3, 5000, f.D))
         want = [(p, int(lambda_criterion_jacobi(f, p).criterion_value)) for p in primes]
         assert list(_cut_point_values(f, primes)) == want
 
     @pytest.mark.parametrize("d", [2, 7, 15])
     def test_cut_point_values_reject_inapplicable_prime(self, d):
         f = make_field(d)
-        primes = list(PrimeRange(3, 500, (f.D, 1)))
-        bad = next(p for p in sieve_primes(PrimeRange(3, 500)) if p % f.D != 1)
+        primes = list(sieve_primes(3, 500, f.D))
+        bad = next(p for p in sieve_primes(3, 500) if p % f.D != 1)
         for p in (bad, 1):
             with pytest.raises(CriterionInapplicable):
                 next(_cut_point_values(f, primes + [p]))
@@ -213,7 +213,7 @@ class TestScan:
     )
     def test_scan_equals_per_prime_jacobi_to_4e4(self, d, hits):
         f = make_field(d)
-        primes = list(PrimeRange(3, 40000, (f.D, 1)))
+        primes = list(sieve_primes(3, 40000, f.D))
         per_prime = [lambda_criterion_jacobi(f, p) for p in primes]
         assert list(_cut_point_values(f, primes)) == [
             (v.p, int(v.criterion_value)) for v in per_prime
@@ -227,7 +227,7 @@ class TestScan:
         # verdicts against the full criterion
         f1 = make_field(1)
         flagged = {v.p for v in scan_lambda(f1, 2000)}
-        for p in sieve_primes(PrimeRange(5, 2000, (4, 1))):
+        for p in sieve_primes(5, 2000, 4):
             assert (p in flagged) == lambda_criterion_jacobi(f1, p).verdict
 
 
@@ -244,5 +244,5 @@ def test_sign_seam_breaks_cross_route_agreement(monkeypatch):
 def test_exceptional_fq_route_matches_jacobi_for_maximal():
     for d, m in ((1, 4), (3, 3)):
         f = make_field(d)
-        for p in sieve_primes(PrimeRange(5, 1000, (f.D, 1))):
+        for p in sieve_primes(5, 1000, f.D):
             assert exceptional_fq(p, f.D).verdict == lambda_criterion_jacobi(f, p).verdict

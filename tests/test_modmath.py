@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lambda_sieve import _kernels
 from lambda_sieve.modmath import (
     MR_DETERMINISTIC_BOUND,
-    PrimeRange,
     Residue,
     _mr_witness,
     _read_checkpoint,
@@ -92,27 +91,28 @@ class TestPrimes:
         assert len(_kernels.primes_upto(10**5)) == 9592
 
     def test_range_matches_sympy(self):
-        got = list(sieve_primes(PrimeRange(3, 10**4)))
+        got = list(sieve_primes(3, 10**4))
         want = [p for p in sympy.primerange(3, 10**4 + 1)]
         assert got == want
 
     def test_residue_filter(self):
-        got = list(sieve_primes(PrimeRange(3, 2000, (4, 1))))
+        got = list(sieve_primes(3, 2000, 4))
         assert got == [p for p in sympy.primerange(3, 2001) if p % 4 == 1]
 
     @given(st.integers(min_value=3, max_value=3000), st.integers(min_value=0, max_value=3000))
     def test_segment_consistency(self, lo, width):
-        sub = set(sieve_primes(PrimeRange(lo, lo + width)))
-        full = set(sieve_primes(PrimeRange(3, lo + width)))
+        sub = set(sieve_primes(lo, lo + width))
+        full = set(sieve_primes(3, lo + width))
         assert sub == {p for p in full if p >= lo}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PrimeRange(2, 10)
-        with pytest.raises(ValueError):
-            PrimeRange(3, 2)
-        with pytest.raises(ValueError):
-            PrimeRange(3, 10, (4, 5))
+        # checked on the call, before the first prime is asked for
+        with pytest.raises(ValueError, match="at least 3"):
+            sieve_primes(2, 10)
+        with pytest.raises(ValueError, match="empty range"):
+            sieve_primes(3, 2)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            sieve_primes(3, 10, 0)
 
 
 class TestProbablePrime:
@@ -242,12 +242,12 @@ class TestCheckpointRead:
         path = tmp_path / "state.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="state.json is not a checkpoint"):
-            _read_checkpoint(str(path), {"kind": "pell_search"})
+            _read_checkpoint(str(path), {"kind": "pell_search"}, dict)
         assert path.read_text() == text
 
     def test_missing_or_other_header_is_none(self, tmp_path):
         path = tmp_path / "state.json"
-        assert _read_checkpoint(str(path), {}) is None
+        assert _read_checkpoint(str(path), {}, dict) is None
         path.write_text('{"kind": "pell_search", "n": 7}')
-        assert _read_checkpoint(str(path), {"kind": "scan_exceptional"}) is None
-        assert _read_checkpoint(str(path), {"kind": "pell_search"})["n"] == 7
+        assert _read_checkpoint(str(path), {"kind": "scan_exceptional"}, dict) is None
+        assert _read_checkpoint(str(path), {"kind": "pell_search"}, dict)["n"] == 7

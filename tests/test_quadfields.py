@@ -10,7 +10,7 @@ from lambda_sieve.gaussfact import (
     exceptional_direct,
     exceptional_general,
 )
-from lambda_sieve.jacobi import cornacchia_gold
+from lambda_sieve.jacobi import cornacchia_gold, jacobi_sum_mod_p2
 from lambda_sieve.quadfields import (
     CriterionInapplicable,
     character_table,
@@ -171,9 +171,9 @@ class TestSplits:
             splits(f, 2)
 
 
-# a composite p is refused at every entry point that returns a verdict, before
-# any arithmetic: Tonelli-Shanks in cornacchia_gold never finds a non-residue
-# mod 25 or 65
+# a composite p is refused at every entry point that returns a verdict, and by
+# jacobi_sum_mod_p2, before any arithmetic: Tonelli-Shanks in cornacchia_gold
+# never finds a non-residue mod 25 or 65
 COMPOSITE_P_CALLS = {
     "exceptional_general(21, d=5)": lambda: exceptional_general(21, make_field(5)),
     "bernoulli_criterion(21, d=1)": lambda: bernoulli_criterion(21, make_field(1)),
@@ -182,6 +182,8 @@ COMPOSITE_P_CALLS = {
     "cornacchia_gold(d=1, 25)": lambda: cornacchia_gold(make_field(1), 25),
     "exceptional_direct(9, 4)": lambda: exceptional_direct(9, 4),
     "euler_criterion(21)": lambda: euler_criterion(21),
+    "jacobi_sum_mod_p2(21, 4, 1)": lambda: jacobi_sum_mod_p2(21, 4, 1),
+    "jacobi_sum_mod_p2(25, 4, 1)": lambda: jacobi_sum_mod_p2(25, 4, 1),
 }
 
 

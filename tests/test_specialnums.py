@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_sieve.gaussfact import exceptional_fq
-from lambda_sieve.modmath import PrimeRange, sieve_primes
+from lambda_sieve.modmath import sieve_primes
 from lambda_sieve.quadfields import make_field
 from lambda_sieve.specialnums import (
     bernoulli_criterion,
@@ -131,18 +131,18 @@ class TestModularSequences:
 
 class TestCriteria:
     def test_euler_hits_none_small(self):
-        for p in sieve_primes(PrimeRange(5, 1500, (4, 1))):
+        for p in sieve_primes(5, 1500, 4):
             assert euler_criterion(p) == exceptional_fq(p, 4).verdict
 
     def test_glaisher_hits(self):
-        hits = [p for p in sieve_primes(PrimeRange(7, 2000, (3, 1))) if glaisher_criterion(p)]
+        hits = [p for p in sieve_primes(7, 2000, 3) if glaisher_criterion(p)]
         assert hits == [13, 181]
 
     @pytest.mark.parametrize("m, series", [(4, euler_mod), (3, glaisher_mod)])
     def test_residues_from_xi_equal_recurrence(self, m, series):
         # E_{p-1} = 4p xi(p, 4), G_{p-1} = 3p xi(p, 3) (mod p**2), exactly
         rows = residues_from_xi(m, 3000)
-        assert [p for p, _ in rows] == list(sieve_primes(PrimeRange(3, 3000, (m, 1))))
+        assert [p for p, _ in rows] == list(sieve_primes(3, 3000, m))
         for p, r in rows:
             assert r == int(series(p - 1, p * p)[p - 1]), (m, p)
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestCriteria:
         for d in (1, 3):
             f = make_field(d)
             m = f.D // 2
-            for p in sieve_primes(PrimeRange(5, 600, (f.D, 1))):
+            for p in sieve_primes(5, 600, f.D):
                 verdict = bernoulli_criterion(p, f)
                 assert verdict == exceptional_fq(p, f.D).verdict
                 if p <= 500:
