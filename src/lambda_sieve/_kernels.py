@@ -5,6 +5,13 @@ moduli above 2**31.5 cannot be formed directly without overflow, so
 `mulmod` splits one operand into limbs small enough that every
 intermediate stays below 2**63.  All kernels assume canonical inputs
 in [0, m).
+
+This is the only module of the package that imports numpy at module
+level, and nothing imports it at module level: the oracle functions of
+modmath, gaussfact, jacobi, quadfields, specialnums and verify import
+it (and numpy, where they index arrays themselves) when they run.  The
+scan, table, class-numbers and pell subcommands never call them, so a
+CLI run that is not verify does not load numpy.
 """
 
 from __future__ import annotations

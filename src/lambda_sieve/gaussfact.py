@@ -32,9 +32,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .modmath import (
     Residue,
     _factorize,
@@ -89,6 +86,10 @@ def gauss_factorial(N: int, n: int, modulus: int) -> int:
         raise ValueError("n must be at least 1")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
+    import numpy as np
+
+    from . import _kernels
+
     qs = [q for q in _factorize(n) if q <= N]
     acc = 1 % modulus
     for lo in range(1, N + 1, _CHUNK):
@@ -130,6 +131,8 @@ def _xi_fq(p: int, m: int) -> int:
     w = wilson_quotient(p)
     h = harmonic_mod(n0, p)
     if n0 >= 1:
+        from . import _kernels
+
         table = _kernels.fq_table(p, n0)
         s = int(table[1:].sum() % p)
     else:
@@ -268,13 +271,11 @@ def _cut_factorials(
     """
     if any(not 0 < c < M for c in cs) or list(cs) != sorted(set(cs)):
         raise ValueError(f"need increasing cut points 0 < c < {M}, got {list(cs)}")
-    ps = np.asarray(primes, dtype=np.int64)
-    xs = np.concatenate([c * (ps - 1) // M for c in cs])
-    order = np.argsort(xs, kind="stable")
-    owner = (order % ps.size).tolist()  # leaf j belongs to primes[owner[j]]
+    leaves = sorted((c * (p - 1) // M, i) for c in cs for i, p in enumerate(primes))
+    xs = [x for x, _ in leaves]
+    owner = [i for _, i in leaves]  # leaf j belongs to primes[owner[j]]
+    del leaves
     moduli = [primes[i] ** 2 for i in owner]
-    xs = xs[order].tolist()
-    del order
     found: dict[int, list[int]] = {}
     for i, r in zip(owner, _factorial_residues(xs, moduli)):
         got = found.setdefault(i, [])

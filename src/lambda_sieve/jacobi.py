@@ -23,11 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
-from . import _kernels
 from .gaussfact import _cut_factorials, _xi_batch
 from .modmath import sieve_primes
 from .quadfields import (
@@ -36,8 +33,12 @@ from .quadfields import (
     _applicability,
     _check_prime,
     character_table,
+    chi,
     splits,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CriterionInapplicable",
@@ -74,11 +75,17 @@ class LambdaVerdict:
 @lru_cache(maxsize=8)
 def _omega_table(p: int) -> np.ndarray:
     """omega(a) = a**p mod p**2 for a = 0..p-1 (entry 0 stays 0)."""
+    import numpy as np
+
+    from . import _kernels
+
     return _kernels.powmod(np.arange(p, dtype=np.int64), p, p * p)
 
 
 def _psi_power(p: int, D: int, i: int) -> np.ndarray:
     """psi**i tabulated on 0..p-1, with psi = omega**(_PSI_SIGN*(p-1)/D)."""
+    from . import _kernels
+
     e = (_PSI_SIGN * i * ((p - 1) // D)) % (p - 1)
     return _kernels.powmod(_omega_table(p), e, p * p)
 
@@ -94,6 +101,8 @@ def jacobi_sum_mod_p2(p: int, D: int, i: int) -> int:
     _check_prime(p, D)
     if math.gcd(i, D) != 1:
         raise ValueError("need gcd(i, D) = 1")
+    from . import _kernels
+
     p2 = p * p
     t = _psi_power(p, D, i % D)
     x = t[2:p]
@@ -266,10 +275,10 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
     for p in primes:
         if p % D != 1 or h % p == 0:
             _applicability(field, p)  # raises CriterionInapplicable
-    tbl = character_table(field)
     units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
     if field.maximal:
         units = [1]
+    signs = {i: chi(field, i) for i in units}
     cs = sorted({c for i in units for c in (i, 2 * i, D - i, D - 2 * i)})
     for p, facts in _cut_factorials(D, cs, primes):
         p2, at = p * p, dict(zip(cs, facts))
@@ -278,5 +287,5 @@ def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int
             e = 2 * i * (p - 1) // D  # 2n
             num = at[2 * i] * pow(at[2 * i] * at[D - 2 * i], e, p2)
             den = at[i] ** 2 * pow(at[i] * at[D - i], e, p2)
-            acc = acc * pow(num * pow(den, -1, p2), int(tbl[i]), p2) % p2
+            acc = acc * pow(num * pow(den, -1, p2), signs[i], p2) % p2
         yield p, pow(acc, p - 1, p2)

@@ -1,11 +1,17 @@
 """Scalar modular arithmetic: residues, Fermat quotients, prime sieves.
 
-Everything here works with plain Python integers or numpy int64 arrays;
-a residue is an int in [0, modulus).  The bulk paths live in _kernels
-and are wrapped by the table functions below.  As the bottom layer,
-this module also holds the primitives every route above shares: the
-Kronecker symbol, the BPSW primality test, the one process fan-out
-(fan_out) and the atomic JSON checkpoint I/O of the resumable searches.
+Everything here works with plain Python integers; a residue is an int
+in [0, modulus).  As the bottom layer, this module also holds the
+primitives every route above shares: the prime sieves (prime_flags,
+sieve_primes), the Kronecker symbol, the BPSW primality test, the one
+process fan-out (fan_out) and the atomic JSON checkpoint I/O of the
+resumable searches.
+
+The import rule of the package: only _kernels imports numpy at module
+level.  Every other module imports _kernels, and numpy where it indexes
+arrays itself, inside the oracle functions that use them (here
+wilson_quotient and harmonic_mod), so the scans, tables, class-numbers
+and pell run on Python ints alone and never load numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +22,8 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Iterator, Sequence
-
-import numpy as np
-
-from . import _kernels
 
 __all__ = [
     "Residue",
@@ -28,6 +31,7 @@ __all__ = [
     "fermat_quotient",
     "wilson_quotient",
     "harmonic_mod",
+    "prime_flags",
     "sieve_primes",
     "is_probable_prime",
     "MR_DETERMINISTIC_BOUND",
@@ -91,6 +95,10 @@ def wilson_quotient(p: int) -> int:
     """
     if p == 2:
         return 1  # (1! + 1)/2
+    import numpy as np
+
+    from . import _kernels
+
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     fact = _kernels.prod_mod(half * (p - half), p * p)
     return (fact + 1) // p % p  # (fact + 1)/p = p at a Wilson prime
@@ -102,8 +110,24 @@ def harmonic_mod(n: int, p: int) -> int:
         raise ValueError("harmonic sum needs n < p")
     if n < 1:
         return 0
+    from . import _kernels
+
     inv = _kernels.inverse_table(n, p)
     return int(inv[1:].sum() % p)
+
+
+def prime_flags(n: int) -> bytearray:
+    """flags[i] = 1 if i is prime, else 0, for 0 <= i <= n.
+
+    A sieve of Eratosthenes on slices: each prime q <= sqrt(n) clears
+    q*q, q*q + q, ... in one slice assignment.
+    """
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = bytes(min(n + 1, 2))
+    for q in range(2, math.isqrt(n) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return flags
 
 
 _SEGMENT = 1 << 19
@@ -127,21 +151,17 @@ def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
 
 
 def _sieve(lower: int, upper: int, m: int) -> Iterator[int]:
-    base = _kernels.primes_upto(math.isqrt(upper))
+    flags = prime_flags(math.isqrt(upper))
+    base = list(compress(range(len(flags)), flags))
     for start in range(lower, upper + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, upper)
-        seg = np.ones(stop - start + 1, dtype=bool)
+        seg = bytearray([1]) * (stop - start + 1)
         for q in base:
-            q = int(q)
-            first = max(q * q, ((start + q - 1) // q) * q)
-            if first > stop:
-                continue
-            seg[first - start :: q] = False
-        block = np.flatnonzero(seg).astype(np.int64) + start
-        if m > 1:
-            block = block[block % m == 1]
-        for p in block:
-            yield int(p)
+            j = max(q * q, -(-start // q) * q)  # the first multiple of q to clear
+            if j <= stop:
+                seg[j - start :: q] = bytes(len(range(j, stop + 1, q)))
+        first = start + (1 - start) % m  # least x >= start with x = 1 (mod m)
+        yield from compress(range(first, stop + 1, m), seg[first - start :: m])
 
 
 # is_probable_prime is exact below this bound; pell labels such primes proven

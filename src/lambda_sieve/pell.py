@@ -27,10 +27,9 @@ import decimal
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 
-import numpy as np
-
-from . import _kernels
 from .gaussfact import exceptional_fq
 from .modmath import (
     MR_DETERMINISTIC_BOUND,
@@ -38,6 +37,7 @@ from .modmath import (
     _write_checkpoint,
     fan_out,
     is_probable_prime,
+    prime_flags,
 )
 
 __all__ = [
@@ -76,12 +76,18 @@ def pell_value(q: int) -> int:
     return cur // 4
 
 
+@cache
+def _trial_flags() -> bytearray:
+    """prime_flags below TRIAL_DIVISION_BOUND, sieved on first use."""
+    return prime_flags(TRIAL_DIVISION_BOUND - 1)
+
+
 def _trial_tables(q: int) -> list[int]:
     """The primes r < TRIAL_DIVISION_BOUND with r = +-1 (mod 4q), increasing."""
-    spf = _kernels.spf_upto(TRIAL_DIVISION_BOUND + 1)  # sieved once, then cached
-    k = np.arange(4 * q, TRIAL_DIVISION_BOUND + 1, 4 * q)
-    rs = np.stack([k - 1, k + 1], axis=1).ravel()  # 4qk - 1 < 4qk + 1 < 4q(k+1) - 1
-    return rs[(rs < TRIAL_DIVISION_BOUND) & (spf[rs] == rs)].tolist()
+    flags, step = _trial_flags(), 4 * q
+    minus = compress(range(step - 1, len(flags), step), flags[step - 1 :: step])
+    plus = compress(range(step + 1, len(flags), step), flags[step + 1 :: step])
+    return sorted([*minus, *plus])
 
 
 def _small_factor(n: int, q: int) -> int | None:
@@ -162,14 +168,14 @@ def pell_search(
         if saved is not None:
             n, (up, uc, yp, yc), records = saved
             done = [_record_dict(r) for r in records if r.q <= q_bound]
-    sieve = _kernels.spf_upto(q_bound)
+    is_prime = prime_flags(q_bound)
     candidates: list[tuple[int, int, int]] = []
     marks: list[tuple[int, dict]] = []  # (records due by then, state)
     while n < q_bound:
         up, uc = uc, 4 * uc - up
         yp, yc = yc, 4 * yc - yp
         n += 1
-        if n % 2 and n >= 3 and sieve[n] == n:
+        if n % 2 and n >= 3 and is_prime[n]:
             candidates.append((n, uc // 4, (yc - 1) // 2))
         if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n == q_bound):
             state = {"kind": "pell_search", "n": n}

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .modmath import _factorize, is_probable_prime, kronecker
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CriterionInapplicable",
@@ -89,6 +91,10 @@ def chi(field: QuadField, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _chi_table(disc: int, D: int) -> np.ndarray:
+    import numpy as np
+
+    from . import _kernels
+
     vals = np.zeros(D, dtype=np.int64)
     if D > 1:
         vals[1] = 1
@@ -114,6 +120,8 @@ def class_number_charsum(field: QuadField) -> int:
     """
     if field.d in (1, 3):
         return 1
+    import numpy as np
+
     vals = _chi_table(field.discriminant, field.D)
     j = np.arange(field.D // 2, dtype=np.int64)
     unit = np.gcd(j, field.D) == 1
@@ -161,11 +169,11 @@ def squarefree_values(d_bound: int) -> list[int]:
     """All square-free d with 1 <= d <= d_bound, increasing."""
     if d_bound < 1:
         return []
-    flags = np.ones(d_bound + 1, dtype=bool)
-    flags[0] = False
+    flags = bytearray([1]) * (d_bound + 1)
+    flags[0] = 0
     for q in range(2, math.isqrt(d_bound) + 1):
-        flags[q * q :: q * q] = False
-    return [int(d) for d in np.flatnonzero(flags)]
+        flags[q * q :: q * q] = bytes(len(range(q * q, d_bound + 1, q * q)))
+    return list(compress(range(d_bound + 1), flags))
 
 
 def maximal_scan(d_bound: int) -> list[int]:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .gaussfact import _xi_fq, scan_exceptional
 from .quadfields import QuadField, _check_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bernoulli_exact",
@@ -136,6 +137,10 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
     # and modulus p**2 that is exact for every prime p <= 2642245
     if (n_max // 2) * (modulus - 1) >= 1 << 63:
         raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
+    import numpy as np
+
+    from . import _kernels
+
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = g0 % modulus
     if n_max < 1:

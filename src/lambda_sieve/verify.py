@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from . import _kernels
 from .gaussfact import (
     cut_point_congruence_check,
     exceptional_direct,
@@ -120,6 +117,10 @@ def report_lines(results: list[CheckResult]) -> list[str]:
 
 @_check("modmath")
 def sieve_prime_count() -> tuple[bool, str]:
+    import numpy as np
+
+    from . import _kernels
+
     n = len(_kernels.primes_upto(10**5))
     if n != 9592:
         return False, f"pi(10**5) = {n}, expected 9592"
@@ -135,6 +136,8 @@ def sieve_prime_count() -> tuple[bool, str]:
 
 @_check("modmath")
 def probable_prime_agrees_with_sieve() -> tuple[bool, str]:
+    from . import _kernels
+
     bound = 20000
     primes = set(int(p) for p in _kernels.primes_upto(bound))
     for n in range(2, bound):
@@ -201,6 +204,8 @@ def harmonic_matches_exact() -> tuple[bool, str]:
 
 @_check("modmath")
 def fermat_quotient_table_agrees() -> tuple[bool, str]:
+    from . import _kernels
+
     t5 = _kernels.fq_table(5, 4)
     if list(t5[1:5]) != [0, 3, 1, 1]:
         return False, f"p=5 table is {list(t5[1:5])}, expected [0, 3, 1, 1]"

@@ -52,18 +52,6 @@ class TestScanExceptional:
         assert doc["params"] == {"m": 4, "bound": 2000, "all": False}
         assert doc["rows"] == []
 
-    def test_worker_byte_identity(self, capsys):
-        outs = {}
-        for fmt in ("csv", "json", "text"):
-            for w in ("1", "2"):
-                _, out = run_cli(
-                    capsys, "scan-exceptional", "--m", "3", "--bound", "2000",
-                    "--workers", w, "--format", fmt,
-                )
-                outs.setdefault(fmt, []).append(out)
-        for fmt, (a, b) in outs.items():
-            assert a == b, fmt
-
     def test_bound_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("LAMBDA_SIEVE_MAX_BOUND", "1000")
         with pytest.raises(SystemExit) as exc:
@@ -132,17 +120,6 @@ class TestScanLambda:
         assert [r[1] for r in rows] == ["13", "181", "2521"]
         assert all(r[3] == "1" for r in rows)
 
-    def test_worker_byte_identity(self, capsys):
-        for d in ("1", "3", "5", "7"):
-            outs = [
-                run_cli(
-                    capsys, "scan-lambda", "--d", d, "--bound", "6000",
-                    "--workers", w, "--format", "csv",
-                )[1]
-                for w in ("1", "2")
-            ]
-            assert outs[0] == outs[1], d
-
     def test_json_value_is_string(self, capsys):
         rc, out = run_cli(
             capsys, "scan-lambda", "--d", "5", "--bound", "6000", "--format", "json"
@@ -153,6 +130,17 @@ class TestScanLambda:
 
 
 class TestPellCommand:
+    def test_worker_byte_identity(self, capsys):
+        # pell is the one subcommand that fans out to processes
+        for fmt in ("csv", "json", "text"):
+            a, b = (
+                run_cli(
+                    capsys, "pell", "--q-bound", "300", "--workers", w, "--format", fmt
+                )[1]
+                for w in ("1", "2")
+            )
+            assert a == b, fmt
+
     def test_json_big_ints_are_strings(self, capsys):
         rc, out = run_cli(capsys, "pell", "--q-bound", "80", "--format", "json")
         doc = json.loads(out)
@@ -277,6 +265,39 @@ class TestPathChecks:
         err = capsys.readouterr().err
         assert f"{path} is not a checkpoint: malformed payload" in err
         assert path.read_text() == text
+
+
+def test_scans_accept_workers(capsys):
+    # accepted for a uniform interface; neither scan starts a process
+    for argv in (("scan-exceptional", "--m", "3"), ("scan-lambda", "--d", "7")):
+        rc, out = run_cli(capsys, *argv, "--bound", "200", "--workers", "2")
+        assert rc == 0 and out.endswith(" rows\n"), argv
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # numpy backs only the oracle kernels and verify; no other subcommand loads it
+    script = f"""
+import sys
+from lambda_sieve.cli import main
+for argv in (
+    ["scan-exceptional", "--m", "3", "--bound", "500", "--all"],
+    ["scan-exceptional", "--m", "5", "--bound", "500", "--all"],
+    ["scan-lambda", "--d", "3", "--bound", "500"],
+    ["scan-lambda", "--d", "7", "--bound", "500"],
+    ["euler-check", "--bound", "200"],
+    ["glaisher-table", "--bound", "200"],
+    ["class-numbers", "--bound", "200"],
+    ["pell", "--q-bound", "60", "--workers", "2", "--checkpoint", {str(tmp_path / "p.ckpt")!r}],
+):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" rows\n") == 8
 
 
 def test_workers_help_says_what_it_does(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lambda_sieve import _kernels
 from lambda_sieve.modmath import (
+    _SEGMENT,
     MR_DETERMINISTIC_BOUND,
     Residue,
     _mr_witness,
@@ -19,6 +20,7 @@ from lambda_sieve.modmath import (
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
+    prime_flags,
     sieve_primes,
     teichmuller_lift,
     wilson_quotient,
@@ -104,6 +106,21 @@ class TestPrimes:
         sub = set(sieve_primes(lo, lo + width))
         full = set(sieve_primes(3, lo + width))
         assert sub == {p for p in full if p >= lo}
+
+    @pytest.mark.parametrize("lo", [3, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1])
+    def test_segments_match_spf_primes(self, lo):
+        # the ranges cross the segment starts at lo + _SEGMENT and past 2 * _SEGMENT
+        hi = 2 * _SEGMENT + 1000
+        primes = [int(p) for p in _kernels.primes_upto(hi) if p >= lo]
+        for m in (1, 2, 3, 4, 12, 14):
+            want = [p for p in primes if p % m == 1 % m]
+            assert list(sieve_primes(lo, hi, m)) == want, m
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10**5])
+    def test_prime_flags_match_spf(self, n):
+        spf = _kernels.spf_upto(n)
+        want = [int(i >= 2 and spf[i] == i) for i in range(n + 1)]
+        assert list(prime_flags(n)) == want
 
     def test_validation(self):
         # checked on the call, before the first prime is asked for

@@ -13,6 +13,7 @@ from lambda_sieve.gaussfact import (
 from lambda_sieve.jacobi import cornacchia_gold, jacobi_sum_mod_p2
 from lambda_sieve.quadfields import (
     CriterionInapplicable,
+    _is_squarefree,
     character_table,
     chi,
     class_number_charsum,
@@ -135,6 +136,8 @@ class TestMaximalScan:
     def test_squarefree_values(self):
         got = squarefree_values(60)
         assert got == [d for d in range(1, 61) if _sf(d)]
+        want = [d for d in range(1, 10**4 + 1) if _is_squarefree(d)]
+        assert squarefree_values(10**4) == want
 
 
 class TestHalfSets:
