@@ -44,10 +44,6 @@ _FIELDS = {
     "class-numbers": ["d", "D", "discriminant", "h", "maximal"],
 }
 
-# JSON encodes these as decimal strings: values can exceed 2**53
-_BIG_FIELDS = {"scan-lambda": {"value"}}
-
-
 def _check_bound(parser: argparse.ArgumentParser, value: int, name: str) -> None:
     raw = os.environ.get("LAMBDA_SIEVE_MAX_BOUND", "")
     try:
@@ -106,19 +102,11 @@ def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
             w.writerow([_csv_cell(row[f]) for f in fields])
         text = buf.getvalue()
     elif args.format == "json":
-        big = _BIG_FIELDS.get(command, set())
-        enc_rows = []
-        for row in rows:
-            enc = {
-                f: str(row[f]) if f in big and isinstance(row[f], int) else row[f]
-                for f in fields
-            }
-            enc_rows.append(enc)
         doc = {
             "schema": SCHEMA_TAG,
             "command": command,
             "params": params,
-            "rows": enc_rows,
+            "rows": [{f: row[f] for f in fields} for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -156,8 +144,9 @@ def cmd_scan_lambda(args, parser) -> int:
     except ValueError as exc:
         parser.error(f"--d {args.d}: {exc}")
     hits = scan_lambda(field, args.bound)
+    # a decimal string, as pell's p and x: schema.json types value as a string
     rows = [
-        {"d": args.d, "p": v.p, "method": v.method, "value": int(v.criterion_value)}
+        {"d": args.d, "p": v.p, "method": v.method, "value": str(int(v.criterion_value))}
         for v in hits
     ]
     _emit(args, "scan-lambda", {"d": args.d, "bound": args.bound}, rows)

@@ -161,12 +161,12 @@ def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
 def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     """Full double-product criterion for arbitrary imaginary quadratic fields.
 
-    Multiplies the i-th ratio factor to the power chi(i) over the units
-    0 < i < D/2, then raises to the (p-1)-st power; the verdict is
-    whether the result is 1 mod p**2.  On a maximal field every such
-    unit has chi(i) = +1, so the product is of plain ratio factors.
-    Preconditions are those of quadfields._applicability at order r, and
-    p**(2r) < 2**61.
+    Multiplies the i-th ratio factor to the power chi(i) = +-1 over the
+    units 0 < i < D/2 (the discriminant divides D), then raises to the
+    (p-1)-st power; the verdict is whether the result is 1 mod p**2.
+    On a maximal field every such unit has chi(i) = +1, so the product
+    is of plain ratio factors.  Preconditions are those of
+    quadfields._applicability at order r, and p**(2r) < 2**61.
     """
     _applicability(field, p, r)
     if p ** (2 * r) >= 1 << 61:
@@ -176,11 +176,10 @@ def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     p2 = p * p
     acc = 1
     for i in range(1, D // 2):
-        c = int(tbl[i])
-        if math.gcd(i, D) != 1 or c == 0:
+        if math.gcd(i, D) != 1:
             continue
         f = _ratio_factor(p, i, D, r, p2)
-        acc = acc * (f if c == 1 else pow(f, -1, p2)) % p2
+        acc = acc * (f if tbl[i] == 1 else pow(f, -1, p2)) % p2
     return pow(acc, p - 1, p2) == 1
 
 

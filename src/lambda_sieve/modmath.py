@@ -2,10 +2,10 @@
 
 Everything here works with plain Python integers; a residue is an int
 in [0, modulus).  As the bottom layer, this module also holds the
-primitives every route above shares: the prime sieves (prime_flags,
-sieve_primes), the Kronecker symbol, the BPSW primality test, the one
-process fan-out (fan_out) and the atomic JSON checkpoint I/O of the
-resumable searches.
+primitives every route above shares: the prime sieve (prime_flags,
+which sieve_primes slices), the Kronecker symbol, the BPSW primality
+test, the one process fan-out (fan_out) and the atomic JSON checkpoint
+I/O of the resumable searches.
 
 The import rule of the package: only _kernels imports numpy at module
 level.  Every other module imports _kernels, and numpy where it indexes
@@ -59,14 +59,22 @@ class Residue:
         return f"Residue({self.value}, mod {self.modulus})"
 
 
+def _require_prime(p: int) -> None:
+    """ValueError naming p unless is_probable_prime(p)."""
+    if not is_probable_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def teichmuller_lift(a: int, p: int, k: int = 2) -> int:
     """The unique (p-1)-st root of unity mod p**k congruent to a mod p.
 
     An int in [0, p**k), computed by iterating x -> x**p mod p**k, which
-    converges in at most k-1 steps.  Requires 1 <= k <= 3 and gcd(a, p) = 1.
+    converges in at most k-1 steps.  Requires 1 <= k <= 3, a prime p and
+    gcd(a, p) = 1.
     """
     if not 1 <= k <= 3:
         raise ValueError("k must be 1, 2, or 3")
+    _require_prime(p)
     if a % p == 0:
         raise ValueError("a must be coprime to p")
     m = p**k
@@ -81,7 +89,11 @@ def teichmuller_lift(a: int, p: int, k: int = 2) -> int:
 
 
 def fermat_quotient(a: int, p: int) -> int:
-    """q_p(a) = (a**(p-1) - 1)/p mod p, an int in [0, p), for gcd(a, p) = 1."""
+    """q_p(a) = (a**(p-1) - 1)/p mod p, an int in [0, p), for gcd(a, p) = 1.
+
+    p is not checked for primality: _xi_batch calls this three times per
+    prime of a scan, and a primality test there would cost the scan.
+    """
     if a % p == 0:
         raise ValueError("a must be coprime to p")
     return (pow(a, p - 1, p * p) - 1) // p
@@ -91,8 +103,9 @@ def wilson_quotient(p: int) -> int:
     """w_p = ((p-1)! + 1)/p mod p, an int in [0, p), from (p-1)! mod p**2.
 
     Pairs a with p - a: (p-1)! = prod a*(p - a) over a <= (p-1)/2, so
-    only half the range is multiplied.
+    only half the range is multiplied.  Requires a prime p.
     """
+    _require_prime(p)
     if p == 2:
         return 1  # (1! + 1)/2
     import numpy as np
@@ -105,7 +118,8 @@ def wilson_quotient(p: int) -> int:
 
 
 def harmonic_mod(n: int, p: int) -> int:
-    """H_n = 1 + 1/2 + ... + 1/n mod p, an int in [0, p).  Requires n < p."""
+    """H_n = 1 + 1/2 + ... + 1/n mod p, an int in [0, p), for a prime p > n."""
+    _require_prime(p)
     if n >= p:
         raise ValueError("harmonic sum needs n < p")
     if n < 1:
@@ -130,16 +144,14 @@ def prime_flags(n: int) -> bytearray:
     return flags
 
 
-_SEGMENT = 1 << 19
-
-
 def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
     """The primes p = 1 (mod m) in [lower, upper], increasing.
 
-    A segmented sieve of Eratosthenes: memory stays O(sqrt(upper) +
-    segment) regardless of range width.  lower must be at least 3, so
-    that residue classes mod even m need no special case for 2.  The
-    bounds are checked on the call, before the first prime is asked for.
+    Reads every m-th entry of prime_flags(upper), from the least
+    x >= lower with x = 1 (mod m).  lower must be at least 3, so that
+    residue classes mod even m need no special case for 2.  The bounds
+    are checked on the call; the sieve runs when the first prime is
+    asked for.
     """
     if lower < 3:
         raise ValueError("lower bound must be at least 3")
@@ -151,17 +163,8 @@ def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
 
 
 def _sieve(lower: int, upper: int, m: int) -> Iterator[int]:
-    flags = prime_flags(math.isqrt(upper))
-    base = list(compress(range(len(flags)), flags))
-    for start in range(lower, upper + 1, _SEGMENT):
-        stop = min(start + _SEGMENT - 1, upper)
-        seg = bytearray([1]) * (stop - start + 1)
-        for q in base:
-            j = max(q * q, -(-start // q) * q)  # the first multiple of q to clear
-            if j <= stop:
-                seg[j - start :: q] = bytes(len(range(j, stop + 1, q)))
-        first = start + (1 - start) % m  # least x >= start with x = 1 (mod m)
-        yield from compress(range(first, stop + 1, m), seg[first - start :: m])
+    first = lower + (1 - lower) % m
+    yield from compress(range(first, upper + 1, m), prime_flags(upper)[first::m])
 
 
 # is_probable_prime is exact below this bound; pell labels such primes proven

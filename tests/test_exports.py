@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -73,3 +74,22 @@ def test_benchmark_gate_contract():
     assert euler_exact(4)[4] == 5
     assert cornacchia_gold(make_field(7), 19531).verdict is True
     assert cornacchia_gold(make_field(7), 29).verdict is False
+
+
+def test_tracer_contract():
+    # perfbench/tracer.py looks up each TARGETS name with getattr and calls
+    # next() on what sieve_primes returns; a missing name stops --trace 1
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (module, attr)
+        for module, attr, _, _ in tracer.TARGETS
+        if not hasattr(importlib.import_module(f"lambda_sieve.{module}"), attr)
+    ]
+    assert missing == []
+    from lambda_sieve.modmath import sieve_primes
+
+    x = sieve_primes(3, 10)
+    assert iter(x) is x

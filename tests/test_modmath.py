@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lambda_sieve import _kernels
 from lambda_sieve.modmath import (
-    _SEGMENT,
     MR_DETERMINISTIC_BOUND,
     Residue,
     _mr_witness,
@@ -107,12 +106,19 @@ class TestPrimes:
         full = set(sieve_primes(3, lo + width))
         assert sub == {p for p in full if p >= lo}
 
-    @pytest.mark.parametrize("lo", [3, _SEGMENT - 1, _SEGMENT, _SEGMENT + 1])
+    @pytest.mark.parametrize("lo", [3, 2**19 - 1, 2**19, 2**19 + 1])
     def test_segments_match_spf_primes(self, lo):
-        # the ranges cross the segment starts at lo + _SEGMENT and past 2 * _SEGMENT
-        hi = 2 * _SEGMENT + 1000
+        hi = 2 * 2**19 + 1000
         primes = [int(p) for p in _kernels.primes_upto(hi) if p >= lo]
         for m in (1, 2, 3, 4, 12, 14):
+            want = [p for p in primes if p % m == 1 % m]
+            assert list(sieve_primes(lo, hi, m)) == want, m
+
+    def test_resumed_scan_range_matches_spf_primes(self):
+        # the narrow window high in the range that a resumed scan sieves
+        lo, hi = 980000, 10**6
+        primes = [int(p) for p in _kernels.primes_upto(hi) if p >= lo]
+        for m in (1, 3, 4, 14):
             want = [p for p in primes if p % m == 1 % m]
             assert list(sieve_primes(lo, hi, m)) == want, m
 
@@ -216,6 +222,20 @@ class TestQuotients:
         exact = sum(Fraction(1, i) for i in range(1, n + 1))
         want = exact.numerator * pow(exact.denominator, -1, p) % p
         assert harmonic_mod(n, p) == want
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (teichmuller_lift, (2, 15)),
+        (teichmuller_lift, (2, 9)),
+        (wilson_quotient, (9,)),
+        (harmonic_mod, (3, 9)),
+    ],
+)
+def test_oracles_reject_composite_p(fn, args):
+    with pytest.raises(ValueError, match=f"p = {args[-1]} is not prime"):
+        fn(*args)
 
 
 class TestTeichmuller:
