@@ -6,6 +6,10 @@ criterion, a Gauss-factorial power test with a Fermat-quotient shortcut,
 a fundamental-unit test for class number one, and special-number
 criteria through Euler and Glaisher sequences.  The routes cross-check
 each other; `verify.run_checks` exercises the whole web of identities.
+
+pell (with its process pool) and verify load on first use: the names
+this package takes from them resolve through the module __getattr__
+(PEP 562).
 """
 
 from .gaussfact import (
@@ -20,10 +24,8 @@ from .jacobi import (
     cornacchia_gold,
     lambda_criterion_jacobi,
 )
-from .pell import PellRecord, pell_implies_nontrivial, pell_search
 from .quadfields import QuadField, make_field
 from .specialnums import euler_criterion, euler_exact, glaisher_criterion
-from .verify import run_checks
 
 __version__ = "0.1.0"
 
@@ -50,3 +52,13 @@ __all__ = [
     "CriterionInapplicable",
     "run_checks",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("PellRecord", "pell_search", "pell_implies_nontrivial"):
+        from . import pell as module
+    elif name == "run_checks":
+        from . import verify as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -7,7 +7,9 @@ not start a week-long scan.  An --out or --checkpoint path in a missing
 directory, or a --checkpoint file that is not a JSON object or lacks a
 field of its kind, is a usage error before any work starts.  Every
 subcommand accepts --workers, but only pell starts processes; output is
-byte-identical for a given command and format regardless of it.
+byte-identical for a given command and format regardless of it.  pell
+and verify are imported by their subcommands, so no other subcommand
+loads the process pool or the invariant battery.
 
 euler-check and glaisher-table read their rows off the same single xi
 pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
@@ -27,10 +29,8 @@ import sys
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
 from .modmath import CheckpointError
-from .pell import _int_to_str, pell_search
 from .quadfields import make_field, squarefree_values
 from .specialnums import residues_from_xi
-from .verify import report_lines, run_checks
 
 SCHEMA_TAG = "lambda-sieve/v1"
 DEFAULT_MAX_BOUND = 10**7
@@ -154,6 +154,8 @@ def cmd_scan_lambda(args, parser) -> int:
 
 
 def cmd_pell(args, parser) -> int:
+    from .pell import _int_to_str, pell_search
+
     _check_bound(parser, args.q_bound, "--q-bound")
     recs = pell_search(args.q_bound, workers=args.workers, checkpoint=args.checkpoint)
     rows = [
@@ -209,6 +211,8 @@ def cmd_class_numbers(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from .verify import report_lines, run_checks
+
     results = run_checks(only=args.only)
     if not results:
         parser.error(f"no checks match {args.only!r}")

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .modmath import (
     Residue,
@@ -57,8 +56,7 @@ __all__ = [
 _CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class ExceptionalVerdict:
+class ExceptionalVerdict(NamedTuple):
     """Outcome of one exceptionality test.
 
     xi lives mod p**alpha and is the power in

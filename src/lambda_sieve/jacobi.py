@@ -21,9 +21,8 @@ pass in gaussfact, for every prime of the range at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .gaussfact import _cut_factorials, _xi_batch
 from .modmath import sieve_primes
@@ -54,8 +53,7 @@ __all__ = [
 _PSI_SIGN = 1
 
 
-@dataclass(frozen=True)
-class LambdaVerdict:
+class LambdaVerdict(NamedTuple):
     """Outcome of one lambda test: verdict true means lambda_p > 1.
 
     criterion_value is the (p-1)-st power of the criterion unit mod

@@ -4,8 +4,9 @@ Everything here works with plain Python integers; a residue is an int
 in [0, modulus).  As the bottom layer, this module also holds the
 primitives every route above shares: the prime sieve (prime_flags,
 which sieve_primes slices), the Kronecker symbol, the BPSW primality
-test, the one process fan-out (fan_out) and the atomic JSON checkpoint
-I/O of the resumable searches.
+test and the atomic JSON checkpoint I/O of the resumable searches.  The
+process fan-out lives in pell, its one caller, so that no other
+subcommand loads the process-pool machinery.
 
 The import rule of the package: only _kernels imports numpy at module
 level.  Every other module imports _kernels, and numpy where it indexes
@@ -20,10 +21,8 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
     "Residue",
@@ -36,21 +35,28 @@ __all__ = [
     "is_probable_prime",
     "MR_DETERMINISTIC_BOUND",
     "kronecker",
-    "fan_out",
 ]
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A verdict's xi or criterion_value: an int canonical in [0, modulus)."""
-
+class _ResidueFields(NamedTuple):
     value: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
+
+class Residue(_ResidueFields):
+    """A verdict's xi: an int canonical in [0, modulus)."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> Residue:
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        return super().__new__(cls, value % modulus, modulus)
+
+    @classmethod
+    def _make(cls, iterable) -> Residue:
+        # NamedTuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     def __int__(self) -> int:
         return self.value
@@ -276,24 +282,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """fn over items, yielded in input order, in workers processes.
-
-    With workers <= 1 this is plain map in this process; otherwise one
-    ProcessPoolExecutor serves the whole sequence, so fn and the items
-    must pickle.  Results stream as they complete in order, and closing
-    the iterator early cancels the work not yet started and shuts the
-    pool down.  The chunk size follows from the inputs: about 64 chunks
-    per worker, at least one item each.
-    """
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    chunk = max(1, len(items) // (64 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=chunk)
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:

@@ -17,8 +17,11 @@ because alpha has norm 1.  Neither 2 nor 3 divides a candidate: u_q / 4
 is odd, and u_n = 2, 1, 2, 1, ... (mod 3).
 
 The search runs the recurrence once and classifies the candidates in
-order through modmath.fan_out, one process pool per search; its
-checkpoint is the JSON state of the recurrence plus the records so far.
+order through fan_out, one process pool per search; its checkpoint is
+the JSON state of the recurrence plus the records so far.  fan_out
+lives here, with its one caller, so that only this module loads the
+process-pool machinery; the package and the CLI import this module on
+first use.
 """
 
 from __future__ import annotations
@@ -26,16 +29,16 @@ from __future__ import annotations
 import decimal
 import math
 import operator
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import compress
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .gaussfact import exceptional_fq
 from .modmath import (
     MR_DETERMINISTIC_BOUND,
     _read_checkpoint,
     _write_checkpoint,
-    fan_out,
     is_probable_prime,
     prime_flags,
 )
@@ -47,6 +50,7 @@ __all__ = [
     "pell_implies_nontrivial",
     "TRIAL_DIVISION_BOUND",
     "NONTRIVIAL_SIZE_GUARD",
+    "fan_out",
 ]
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -55,8 +59,7 @@ _CHECKPOINT_EVERY = 100
 _STATE = ("u_prev", "u_cur", "y_prev", "y_cur")  # the checkpoint's recurrence state
 
 
-@dataclass(frozen=True)
-class PellRecord:
+class PellRecord(NamedTuple):
     """One candidate: p_candidate = u_q / 4 (kept as int, may be huge)."""
 
     q: int
@@ -121,6 +124,26 @@ def _str_to_int(s: str) -> int:
     return int(decimal.Decimal(s))
 
 
+def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """fn over items, yielded in input order, in workers processes.
+
+    With workers <= 1 this is plain map in this process; otherwise one
+    ProcessPoolExecutor serves the whole sequence, so fn and the items
+    must pickle.  Results stream as they complete in order, and closing
+    the iterator early cancels the work not yet started and shuts the
+    pool down.  The chunk size follows from the inputs: about 64 chunks
+    per worker, at least one item each.  ProcessPoolExecutor is read as
+    a module global at call time, so that perfbench's tracer can swap in
+    its counting pool: keep its import at module level.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    chunk = max(1, len(items) // (64 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunk)
+
+
 def _classify(q: int, p: int, x: int) -> PellRecord:
     digits = _digit_count(p)
     f = _small_factor(p, q)
@@ -150,7 +173,7 @@ def pell_search(
 
     Runs the recurrence once, then classifies the candidates at prime
     indices by trial division below 10**6 and a primality test, in order,
-    through modmath.fan_out: one pool of workers processes per search.
+    through fan_out: one pool of workers processes per search.
     With checkpoint set, the recurrence state and the records are saved
     at every index divisible by 100 and at q_bound, as soon as every
     candidate up to that index is classified, and a rerun resumes from

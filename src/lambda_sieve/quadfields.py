@@ -15,10 +15,9 @@ the preconditions that every criterion checks its p against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .modmath import _factorize, is_probable_prime, kronecker
 
@@ -54,8 +53,7 @@ def _totient(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(NamedTuple):
     """Invariants of the field generated by sqrt(-d)."""
 
     d: int

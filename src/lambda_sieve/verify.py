@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .gaussfact import (
     cut_point_congruence_check,
@@ -68,8 +67,7 @@ H_ONE_FIELDS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 STANDARD_FIELDS = (1, 2, 3, 5, 6)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     group: str
     ok: bool

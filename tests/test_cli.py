@@ -8,6 +8,7 @@ import pytest
 
 import lambda_sieve.cli as cli_mod
 import lambda_sieve.jacobi as jacobi_mod
+import lambda_sieve.pell as pell_mod
 from lambda_sieve.cli import _FIELDS, main
 from lambda_sieve.pell import PellRecord, pell_value
 
@@ -167,7 +168,7 @@ class TestPellCommand:
         rec = PellRecord(
             q=7603, p_candidate=p, digits=4348, status="probable_prime", x=x
         )
-        monkeypatch.setattr(cli_mod, "pell_search", lambda *a, **k: [rec])
+        monkeypatch.setattr(pell_mod, "pell_search", lambda *a, **k: [rec])
         dp, dx = str(decimal.Decimal(p)), str(decimal.Decimal(x))
         rc, out = run_cli(capsys, "pell", "--q-bound", "7603", "--format", "json")
         (row,) = json.loads(out)["rows"]
@@ -197,8 +198,8 @@ class TestPathChecks:
         self, capsys, monkeypatch, tmp_path, argv, flag, target, message
     ):
         ran = []
-        for name in ("scan_exceptional", "pell_search"):
-            monkeypatch.setattr(cli_mod, name, lambda *a, **k: ran.append(a))
+        for mod, name in ((cli_mod, "scan_exceptional"), (pell_mod, "pell_search")):
+            monkeypatch.setattr(mod, name, lambda *a, **k: ran.append(a))
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, str(tmp_path / target)])
         assert exc.value.code == 2 and ran == []
@@ -275,7 +276,9 @@ def test_scans_accept_workers(capsys):
 
 
 def test_cli_runs_without_numpy(tmp_path):
-    # numpy backs only the oracle kernels and verify; no other subcommand loads it
+    # numpy backs only the oracle kernels and verify; no other subcommand loads
+    # it.  The scans and tables load neither the process pool (pell's),
+    # dataclasses nor the pell and verify modules; pell still runs afterwards
     script = f"""
 import sys
 from lambda_sieve.cli import main
@@ -287,9 +290,14 @@ for argv in (
     ["euler-check", "--bound", "200"],
     ["glaisher-table", "--bound", "200"],
     ["class-numbers", "--bound", "200"],
-    ["pell", "--q-bound", "60", "--workers", "2", "--checkpoint", {str(tmp_path / "p.ckpt")!r}],
 ):
     assert main(argv) == 0, argv
+unused = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+          "lambda_sieve.pell", "lambda_sieve.verify")
+loaded = sorted(m for m in unused if m in sys.modules)
+assert not loaded, loaded
+argv = ["pell", "--q-bound", "60", "--workers", "2", "--checkpoint", {str(tmp_path / "p.ckpt")!r}]
+assert main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, loaded
 """

@@ -1,5 +1,7 @@
+import concurrent.futures
 import importlib
 import importlib.util
+import pickle
 import pkgutil
 import re
 from pathlib import Path
@@ -93,3 +95,58 @@ def test_tracer_contract():
 
     x = sieve_primes(3, 10)
     assert iter(x) is x
+    # the tracer swaps this module global for its counting pool; fan_out
+    # must look it up there, not import it where it runs
+    from lambda_sieve import pell
+
+    assert pell.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    # the names the package resolves on first access, importing pell and verify
+    for name in ("PellRecord", "pell_search", "pell_implies_nontrivial", "run_checks"):
+        assert hasattr(lambda_sieve, name), name
+    assert not hasattr(lambda_sieve, "fan_out")
+
+
+def _result_instances():
+    from lambda_sieve.modmath import Residue
+    from lambda_sieve.pell import PellRecord
+    from lambda_sieve.verify import CheckResult
+
+    field = lambda_sieve.make_field(5)
+    return [
+        (Residue(-1, 7), "Residue(6, mod 7)"),
+        (
+            lambda_sieve.exceptional_fq(7, 3),
+            "ExceptionalVerdict(p=7, m=3, alpha=1, xi=Residue(2, mod 7))",
+        ),
+        (field, "QuadField(d=5, D=20, discriminant=-20, h=2, maximal=True)"),
+        (
+            lambda_sieve.lambda_criterion_jacobi(field, 41),
+            "LambdaVerdict(field=QuadField(d=5, D=20, discriminant=-20, h=2,"
+            " maximal=True), p=41, method='jacobi', criterion_value=1149)",
+        ),
+        (
+            PellRecord(q=5, p_candidate=181, digits=3, status="prime_proven_small", x=104),
+            "PellRecord(q=5, p_candidate=181, digits=3, status='prime_proven_small',"
+            " x=104)",
+        ),
+        (
+            CheckResult("teichmuller-lift", "modmath", True, "p<=97", 0.25),
+            "CheckResult(name='teichmuller-lift', group='modmath', ok=True,"
+            " detail='p<=97', elapsed=0.25)",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_result_types(index):
+    # the six result types are NamedTuples with the reprs they had as frozen
+    # dataclasses; PellRecord crosses the process pool, so they must pickle
+    obj, text = _result_instances()[index]
+    assert isinstance(obj, tuple)
+    assert repr(obj) == text
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and type(back) is type(obj) and hash(back) == hash(obj)
+    with pytest.raises(AttributeError):
+        setattr(obj, obj._fields[0], obj[0])
+    with pytest.raises(AttributeError):
+        obj.extra = 1

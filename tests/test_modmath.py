@@ -15,7 +15,6 @@ from lambda_sieve.modmath import (
     _mr_witness,
     _read_checkpoint,
     _strong_lucas,
-    fan_out,
     fermat_quotient,
     harmonic_mod,
     is_probable_prime,
@@ -24,6 +23,7 @@ from lambda_sieve.modmath import (
     teichmuller_lift,
     wilson_quotient,
 )
+from lambda_sieve.pell import fan_out
 
 PRIMES_200 = [int(p) for p in _kernels.primes_upto(200) if p > 2]
 
@@ -34,6 +34,15 @@ class TestResidue:
     def test_canonicalizes(self):
         assert Residue(-1, 7).value == 6
         assert Residue(15, 7).value == 1
+
+    def test_rejects_modulus_below_two(self):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            Residue(0, 1)
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            Residue._make([0, 1])
+
+    def test_replace_canonicalizes(self):
+        assert Residue(2, 7)._replace(value=9) == (2, 7)
 
     @given(st.integers(), st.integers(min_value=2, max_value=10**9))
     def test_int_round_trip(self, v, m):
