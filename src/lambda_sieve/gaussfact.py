@@ -17,9 +17,8 @@ rewrites its xi through n! and (p-1)! mod p**2, n = (p-1)/m, plus
 Lehmer's congruences for the harmonic number H_n, and gets those
 factorials for every prime of the range in one quasi-linear pass of an
 accumulating remainder tree (_xi_batch, _factorial_residues), where
-(p-1)! reflects to ((p-1)/2)!.  The same pass at the cut points
-c (p-1)/D gives jacobi's scan_lambda its criterion value on every
-field: every point is k! mod p**2 at k < p - 1 (_cut_factorials).  The
+(p-1)! reflects to ((p-1)/2)!, so every point of the pass is k! mod
+p**2 at a cut point k = c (p-1)/M < p - 1 (_cut_factorials).  The
 single-prime _xi_fq stays as the entry point for one prime and as the
 oracle the batched values are tested against.  A checkpoint is written
 every 6400 primes as the walk finishes them, in increasing p.

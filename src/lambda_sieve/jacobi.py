@@ -10,21 +10,22 @@ put the p-divisible conjugate there instead.  The sign was fixed by
 that numeric pinning and is wired through _PSI_SIGN so tests can flip
 it and watch the oracle-equivalence checks fail.
 
-An independent route needs no characters at all: for class number one,
-writing p (or 4p) as x**2 + d y**2 with one Cornacchia routine embeds the
-ideal generator into the integers mod p**2 directly, and the criterion
-is Gold's original one.  scan_lambda does not evaluate Jacobi sums: it
-reads the same unit off the cut-point factorials of one remainder-tree
-pass in gaussfact, for every prime of the range at once.
+An independent route needs no characters at all, and is the one the
+scan runs: Gold's criterion (R. Gold, J. Number Theory 6, 1974).  For
+a split p not dividing the class number h, one Cornacchia routine
+writes p**h (or 4p**h) as x**2 + d y**2, which gives a generator of
+P**h for a prime P over p, and its trace T alone gives the criterion
+value, u**(p-1) = 1 + p (q_p(T) + [h = 1] T**-2) (mod p**2).  That is a
+few modular operations per prime; scan_lambda applies it to every
+prime of the range, and lambda_criterion_jacobi stays as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .gaussfact import _cut_factorials, _xi_batch
 from .modmath import sieve_primes
 from .quadfields import (
     CriterionInapplicable,
@@ -32,7 +33,6 @@ from .quadfields import (
     _applicability,
     _check_prime,
     character_table,
-    chi,
     splits,
 )
 
@@ -166,26 +166,35 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _cornacchia(d: int, p: int) -> tuple[int, int] | None:
-    """Solve x**2 + d y**2 = k p with x, y > 0, if possible.
+def _cornacchia(
+    d: int, p: int, h: int, root: int | None = None
+) -> tuple[int, int] | None:
+    """Solve x**2 + d y**2 = k p**h with x, y > 0, if possible.
 
     k = 4 when d = 3 (mod 4) and k = 1 otherwise.  Cornacchia's algorithm
     in one form for both (Cohen, Alg. 1.5.2 and 1.5.3): Euclid on
-    (sqrt(k) p, t), with t an odd square root of -d mod p, stops at the
-    first remainder x <= sqrt(k p).  An odd t keeps x = d (mod 2), which
-    k = 4 needs; for k = 1 every root yields the same x.
+    (sqrt(k) p**h, t), with t an odd square root of -d mod p**h, stops at
+    the first remainder x <= sqrt(k p**h).  t is the Tonelli-Shanks root
+    mod p, or root, lifted to mod p**h by Newton doubling.  An odd t keeps
+    x = d (mod 2), which k = 4 needs; for k = 1 either root yields the
+    same x.
     """
     r = 2 if d % 4 == 3 else 1
-    t = _sqrt_mod_prime(-d % p, p)
+    t = _sqrt_mod_prime(-d % p, p) if root is None else root
     if t is None:
         return None
+    m, q = p**h, p
+    while q < m:  # t**2 = -d (mod q) becomes t**2 = -d (mod min(q**2, m))
+        q = min(q * q, m)
+        t = (t - (t * t + d) * pow(2 * t, -1, q)) % q
+    t %= m
     if t % 2 == 0:
-        t = p - t
-    a, b = r * p, t
-    lim = math.isqrt(r * r * p)
+        t = m - t
+    a, b = r * m, t
+    lim = math.isqrt(r * r * m)
     while b > lim:
         a, b = b, a % b
-    rem = r * r * p - b * b
+    rem = r * r * m - b * b
     if rem % d:
         return None
     y = math.isqrt(rem // d)
@@ -194,96 +203,63 @@ def _cornacchia(d: int, p: int) -> tuple[int, int] | None:
     return b, y
 
 
+def _gold_value(field: QuadField, p: int, root: int | None = None) -> int:
+    """Gold's criterion value u**(p-1) mod p**2 at a split prime p, p not | h.
+
+    P**h = (alpha) for a prime P over p, with alpha = (x + y sqrt(-d))/2
+    or x + y sqrt(-d) from Cornacchia on 4p**h or p**h, of trace T = x or
+    2x.  u is alpha in the embedding into Z/p**2 where it is a unit; its
+    conjugate lands in p**h Z, and u + conj = T, so u = T - p/T (mod p**2)
+    when h = 1 and u = T when h >= 2.  Hence, with q_p the Fermat quotient,
+    u**(p-1) = 1 + p (q_p(T) + [h = 1] T**-2) (mod p**2): no lift of the
+    root to p**2 and no choice of embedding.  alpha is prime to p, so
+    p does not divide T.  The caller checks p (cornacchia_gold).
+    """
+    sol = _cornacchia(field.d, p, field.h, root)
+    if sol is None:
+        k = "4" if field.d % 4 == 3 else ""
+        raise CriterionInapplicable(f"{k}p**{field.h} not represented by x^2+{field.d}y^2")
+    T = sol[0] if field.d % 4 == 3 else 2 * sol[0]
+    p2 = p * p
+    value = pow(T, p - 1, p2)
+    if field.h == 1:
+        value = (value + p * pow(T, -2, p)) % p2
+    return value
+
+
 def cornacchia_gold(
     field: QuadField, p: int, root: int | None = None
 ) -> LambdaVerdict:
-    """Gold's criterion via an explicit ideal generator (h = 1 only).
+    """Gold's criterion via an explicit generator of P**h, for every h.
 
-    Writes p = x**2 + d y**2 (or 4p = x**2 + d y**2 for d = 3 mod 4),
-    maps the generator into Z/p**2 through a lifted square root s of
-    -d, picks the embedding that is a unit, and tests its (p-1)-st
-    power.  The verdict does not depend on which root s is used; pass
-    root to force one (it must square to -d mod p**2).  Unlike the other
-    criteria it takes every split prime, not only p = 1 (mod D).
+    The checked entry point of _gold_value: p must be a prime that splits
+    and does not divide h, but unlike the other criteria need not be
+    1 (mod D).  The value does not depend on which square root of -d
+    Cornacchia starts from; pass root to force one (it must square to -d
+    mod p**2).
     """
     _check_prime(p)
-    if field.h != 1:
-        raise CriterionInapplicable(f"class number {field.h} is not 1")
     if field.D % p == 0 or not splits(field, p):
         raise CriterionInapplicable(f"p = {p} does not split")
-    d = field.d
-    p2 = p * p
-    if root is None:
-        s0 = _sqrt_mod_prime(-d % p, p)  # p splits, so -d is a square mod p
-        # Hensel lift to mod p**2: s -> s - (s**2 + d) / (2s)
-        s = (s0 - (s0 * s0 + d) * pow(2 * s0, -1, p2)) % p2
-    else:
-        s = root % p2
-    if (s * s + d) % p2:
+    if field.h % p == 0:
+        raise CriterionInapplicable(f"p = {p} divides the class number {field.h}")
+    if root is not None and (root * root + field.d) % (p * p):
         raise ValueError("root**2 + d is not 0 mod p**2")
-    sol = _cornacchia(d, p)
-    if sol is None:
-        kp = "4p" if d % 4 == 3 else "p"
-        raise CriterionInapplicable(f"{kp} not represented by x^2+{d}y^2")
-    x, y = sol
-    half = pow(2, -1, p2) if d % 4 == 3 else 1  # (x + y sqrt(-d))/2 when k = 4
-    e1 = (x + y * s) * half % p2
-    e2 = (x - y * s) * half % p2
-    if (e1 * e2 - p) % p2:
-        raise AssertionError("embedding sanity check failed")
-    unit = e1 if e1 % p else e2
-    if unit % p == 0:
-        raise AssertionError("neither embedding is a unit")
-    return LambdaVerdict(field, p, "cornacchia", pow(unit, p - 1, p2))
+    return LambdaVerdict(field, p, "cornacchia", _gold_value(field, p, root))
 
 
 def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
     """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
 
-    One remainder-tree pass of gaussfact does every prime.  d = 1 and
-    d = 3 test xi = 0 (method fermat_quotient, value (1+p)**xi), every
-    other field the value of _cut_point_values (method jacobi).
+    Gold's criterion decides each prime on its own (_gold_value).  A
+    sieved prime p = 1 (mod D) splits, and it exceeds D, which exceeds h,
+    so it never divides h: no prime needs a check.  A row carries the
+    value 1 and the method fermat_quotient for d = 1 and d = 3, jacobi
+    otherwise, as the CLI's frozen output has it.
     """
-    D = field.D
-    primes = list(sieve_primes(3, bound, D))
-    if field.d in (1, 3):
-        method = "fermat_quotient"
-        rows = ((p, 1 + xi * p) for p, xi in _xi_batch(4 if D == 4 else 3, primes))
-    else:
-        method, rows = "jacobi", _cut_point_values(field, primes)
-    return [LambdaVerdict(field, p, method, 1) for p, v in rows if v == 1]
-
-
-def _cut_point_values(field: QuadField, primes: list[int]) -> Iterator[tuple[int, int]]:
-    """(p, the criterion value of lambda_criterion_jacobi) per prime p = 1 (mod D).
-
-    With n = i(p-1)/D, (n(p+1))_p! = ((p-1)!)**n n! (1 + p H_n)**n (mod p**2),
-    so the ratio factor of gaussfact._ratio_factor for the unit i, which is
-    -J(psi**-i), is f_i = (2n)!/(n!)**2 ((1 + p H_{2n})/(1 + p H_n))**(2n),
-    and C(p-1, k) = (-1)**k (1 - p H_k) (mod p**2) makes the last factor
-    ((2n)! (p-1-2n)!/(n! (p-1-n)!))**(2n): points c(p-1)/D < p - 1, c in
-    {i, 2i, D-i, D-2i}, of one gaussfact._cut_factorials pass.  The value is
-    (prod f_i**chi(i))**(p-1) over the units i < D/2, f_1**(p-1) on a
-    maximal field; the sign drops out of the even power.
-
-    On sieved primes only the checks of _applicability for p = 1 (mod D)
-    and for p dividing h can fail; a prime = 1 (mod D) splits.
-    """
-    D, h = field.D, field.h
-    for p in primes:
-        if p % D != 1 or h % p == 0:
-            _applicability(field, p)  # raises CriterionInapplicable
-    units = [i for i in range(1, D // 2) if math.gcd(i, D) == 1]
-    if field.maximal:
-        units = [1]
-    signs = {i: chi(field, i) for i in units}
-    cs = sorted({c for i in units for c in (i, 2 * i, D - i, D - 2 * i)})
-    for p, facts in _cut_factorials(D, cs, primes):
-        p2, at = p * p, dict(zip(cs, facts))
-        acc = 1
-        for i in units:
-            e = 2 * i * (p - 1) // D  # 2n
-            num = at[2 * i] * pow(at[2 * i] * at[D - 2 * i], e, p2)
-            den = at[i] ** 2 * pow(at[i] * at[D - i], e, p2)
-            acc = acc * pow(num * pow(den, -1, p2), signs[i], p2) % p2
-        yield p, pow(acc, p - 1, p2)
+    method = "fermat_quotient" if field.d in (1, 3) else "jacobi"
+    return [
+        LambdaVerdict(field, p, method, 1)
+        for p in sieve_primes(3, bound, field.D)
+        if _gold_value(field, p) == 1
+    ]

@@ -500,9 +500,7 @@ def lambda_routes_agree_to(bound: int) -> tuple[bool, str]:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
                 continue
-            verdicts = {"jacobi": v.verdict}
-            if field.h == 1:
-                verdicts["unit"] = cornacchia_gold(field, p).verdict
+            verdicts = {"jacobi": v.verdict, "unit": cornacchia_gold(field, p).verdict}
             verdicts["ratio"] = exceptional_general(p, field)
             if d in (1, 3):
                 verdicts["series"] = (
@@ -546,7 +544,7 @@ def character_power_order() -> tuple[bool, str]:
 
 @_check("jacobi")
 def embedding_root_independence() -> tuple[bool, str]:
-    for d in H_ONE_FIELDS:
+    for d in H_ONE_FIELDS + (5,):
         field = make_field(d)
         for p in sieve_primes(3, 300):
             if field.D % p == 0 or not splits(field, p):

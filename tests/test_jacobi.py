@@ -1,13 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambda_sieve.jacobi as jacobi_mod
-from lambda_sieve.gaussfact import exceptional_fq, exceptional_general
+from lambda_sieve.gaussfact import _xi_batch, exceptional_fq, exceptional_general
 from lambda_sieve.jacobi import (
     CriterionInapplicable,
-    _cut_point_values,
     cornacchia_gold,
     jacobi_sum_mod_p2,
     lambda_criterion_jacobi,
@@ -137,19 +138,22 @@ class TestCornacchia:
                 assert cornacchia_gold(f, p).verdict == jv.verdict, (d, p)
 
     def test_one_routine_for_p_and_4p(self):
-        # x**2 + d y**2 = k p with k = 4 exactly when d = 3 (mod 4)
-        for d in (1, 2, 3, 7, 11, 19, 43, 67, 163):
+        # x**2 + d y**2 = k p**h with k = 4 exactly when d = 3 (mod 4); for
+        # h > 1 the root of -d is lifted to p**h, and y prime to p means the
+        # solution generates P**h, not a multiple of p
+        for d in (1, 2, 3, 7, 11, 19, 43, 67, 163, 5, 6, 15, 23, 14, 21):
             k = 4 if d % 4 == 3 else 1
             f = make_field(d)
             for p in sieve_primes(3, 3000):
-                if f.D % p == 0:
+                if f.D % p == 0 or f.h % p == 0:
                     continue
-                sol = jacobi_mod._cornacchia(d, p)
+                sol = jacobi_mod._cornacchia(d, p, f.h)
                 if not splits(f, p):
                     assert sol is None, (d, p)
                     continue
                 x, y = sol
-                assert x > 0 and y > 0 and x * x + d * y * y == k * p, (d, p)
+                assert x > 0 and y % p and x * x + d * y * y == k * p**f.h, (d, p)
+        assert {make_field(d).h for d in (5, 23, 14)} == {2, 3, 4}
 
     def test_rejects_nonsplit_and_class_number(self):
         f3 = make_field(3)
@@ -157,9 +161,46 @@ class TestCornacchia:
             cornacchia_gold(f3, 5)  # inert
         with pytest.raises(CriterionInapplicable):
             cornacchia_gold(f3, 3)  # ramified
-        f5 = make_field(5)
+        f5 = make_field(5)  # h = 2: Cornacchia on 41**2
+        assert cornacchia_gold(f5, 41).verdict == lambda_criterion_jacobi(f5, 41).verdict
+        f23 = make_field(23)
+        assert f23.h == 3 and splits(f23, 3)
         with pytest.raises(CriterionInapplicable):
-            cornacchia_gold(f5, 41)  # h = 2
+            cornacchia_gold(f23, 3)  # p divides h
+
+    @pytest.mark.parametrize("d", [2, 7, 15])
+    def test_rejects_inapplicable_prime(self, d):
+        # the scan checks no prime; its entry point rejects an inert, a
+        # ramified and a non-prime p
+        f = make_field(d)
+        inert = next(p for p in sieve_primes(3, 500) if f.D % p and not splits(f, p))
+        ramified = max(q for q in (2, 3, 5, 7) if f.D % q == 0)
+        for p in (inert, ramified, 1):
+            with pytest.raises(CriterionInapplicable):
+                cornacchia_gold(f, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 14, 15, 21, 23])
+    def test_value_equals_unit_embedding(self, d):
+        # definitional route: a generator found by search, embedded into
+        # Z/p**2 through a lifted root, the unit embedding's (p-1)-st power
+        f = make_field(d)
+        k, half = (4, 2) if d % 4 == 3 else (1, 1)
+        for p in sieve_primes(3, 200):
+            if f.D % p == 0 or f.h % p == 0 or not splits(f, p):
+                continue
+            n, p2 = k * p**f.h, p * p
+            x, y = next(
+                (math.isqrt(n - d * y * y), y)
+                for y in range(1, math.isqrt(n // d) + 1)
+                if y % p and math.isqrt(n - d * y * y) ** 2 == n - d * y * y
+            )
+            s0 = next(s for s in range(1, p) if (s * s + d) % p == 0)
+            s = (s0 - (s0 * s0 + d) * pow(2 * s0, -1, p2)) % p2
+            inv = pow(half, -1, p2)
+            e1, e2 = (x + y * s) * inv % p2, (x - y * s) * inv % p2
+            unit = e1 if e1 % p else e2
+            want = pow(unit, p - 1, p2)
+            assert cornacchia_gold(f, p).criterion_value == want, (d, p)
 
     def test_root_choice_irrelevant(self):
         f = make_field(7)
@@ -189,23 +230,33 @@ class TestScan:
         assert scan_lambda(make_field(2), 3000) == []
         assert scan_lambda(make_field(6), 3000) == []
 
-    @pytest.mark.parametrize("d", [2, 5, 6, 7, 10, 11, 13, 15])
-    def test_cut_point_values_equal_jacobi(self, d):
-        # maximal (2, 5, 6) and non-maximal (7, 10, 11, 13, 15) fields: the tree
-        # route's criterion value, not only its verdict, is the Jacobi one
-        f = make_field(d)
-        primes = list(sieve_primes(3, 5000, f.D))
-        want = [(p, int(lambda_criterion_jacobi(f, p).criterion_value)) for p in primes]
-        assert list(_cut_point_values(f, primes)) == want
+    # c_d = a/b with t_gold = c_d t_jacobi (mod p), where value = 1 + t p
+    TIE = {
+        2: (1, 1), 5: (2, 1), 6: (2, 1), 7: (-1, 1), 10: (1, 2), 11: (1, 3),
+        13: (1, 2), 14: (1, 2), 15: (-1, 1), 21: (1, 2), 23: (-1, 1),
+    }
 
-    @pytest.mark.parametrize("d", [2, 7, 15])
-    def test_cut_point_values_reject_inapplicable_prime(self, d):
+    @pytest.mark.parametrize("d", sorted(TIE))
+    def test_gold_value_tied_to_jacobi(self, d):
+        # maximal (2, 5, 6) and non-maximal fields of h = 1 to 4: Gold's
+        # value, not only its verdict, is a fixed power of the Jacobi one
+        a, b = self.TIE[d]
         f = make_field(d)
-        primes = list(sieve_primes(3, 500, f.D))
-        bad = next(p for p in sieve_primes(3, 500) if p % f.D != 1)
-        for p in (bad, 1):
-            with pytest.raises(CriterionInapplicable):
-                next(_cut_point_values(f, primes + [p]))
+        for p in sieve_primes(3, 5000, f.D):
+            p2 = p * p
+            gold = cornacchia_gold(f, p).criterion_value
+            jac = lambda_criterion_jacobi(f, p).criterion_value
+            assert pow(gold, b, p2) == pow(jac, a, p2), (d, p)
+
+    @pytest.mark.parametrize("d, m, c", [(3, 3, -3), (1, 4, -2)])
+    def test_gold_value_reads_xi(self, d, m, c):
+        # t_3 = -3 xi(p, 3) and t_1 = -2 xi(p, 4) (mod p) on every prime
+        # to 2*10**5, against the remainder tree's xi
+        f = make_field(d)
+        primes = list(sieve_primes(3, 200000, f.D))
+        for p, xi in _xi_batch(m, primes):
+            t = (jacobi_mod._gold_value(f, p) - 1) // p
+            assert t == c * xi % p, (p, xi)
 
     @pytest.mark.extended
     @pytest.mark.parametrize(
@@ -213,18 +264,13 @@ class TestScan:
     )
     def test_scan_equals_per_prime_jacobi_to_4e4(self, d, hits):
         f = make_field(d)
-        primes = list(sieve_primes(3, 40000, f.D))
-        per_prime = [lambda_criterion_jacobi(f, p) for p in primes]
-        assert list(_cut_point_values(f, primes)) == [
-            (v.p, int(v.criterion_value)) for v in per_prime
-        ]
+        per_prime = [lambda_criterion_jacobi(f, p) for p in sieve_primes(3, 40000, f.D)]
         assert scan_lambda(f, 40000) == [v for v in per_prime if v.verdict]
         assert [v.p for v in scan_lambda(f, 40000)] == hits
 
     def test_fast_path_matches_criterion(self):
-        # d = 1 and d = 3 scan through the batched xi, whose value (1+p)**xi
-        # differs from the Jacobi unit's power off the hits; check the
-        # verdicts against the full criterion
+        # d = 1 rows carry the value 1 and method fermat_quotient, not the
+        # Jacobi unit's power; check the verdicts against the full criterion
         f1 = make_field(1)
         flagged = {v.p for v in scan_lambda(f1, 2000)}
         for p in sieve_primes(5, 2000, 4):
