@@ -168,17 +168,6 @@ class TestCornacchia:
         with pytest.raises(CriterionInapplicable):
             cornacchia_gold(f23, 3)  # p divides h
 
-    @pytest.mark.parametrize("d", [2, 7, 15])
-    def test_rejects_inapplicable_prime(self, d):
-        # the scan checks no prime; its entry point rejects an inert, a
-        # ramified and a non-prime p
-        f = make_field(d)
-        inert = next(p for p in sieve_primes(3, 500) if f.D % p and not splits(f, p))
-        ramified = max(q for q in (2, 3, 5, 7) if f.D % q == 0)
-        for p in (inert, ramified, 1):
-            with pytest.raises(CriterionInapplicable):
-                cornacchia_gold(f, p)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 14, 15, 21, 23])
     def test_value_equals_unit_embedding(self, d):
         # definitional route: a generator found by search, embedded into
@@ -257,6 +246,21 @@ class TestScan:
         for p, xi in _xi_batch(m, primes):
             t = (jacobi_mod._gold_value(f, p) - 1) // p
             assert t == c * xi % p, (p, xi)
+
+    @pytest.mark.parametrize("d", [2, 7, 15])
+    def test_cut_point_values_reject_inapplicable_prime(self, d):
+        # the name is kept from the remainder-tree route the scan took
+        # before Gold's criterion.  The scan checks no prime; its per-prime
+        # value fails on an inert p, and the checked entry point of that
+        # value rejects an inert, a ramified and a non-prime p
+        f = make_field(d)
+        inert = next(p for p in sieve_primes(3, 500) if f.D % p and not splits(f, p))
+        ramified = max(q for q in (2, 3, 5, 7) if f.D % q == 0)
+        with pytest.raises(CriterionInapplicable):
+            jacobi_mod._gold_value(f, inert)
+        for p in (inert, ramified, 1):
+            with pytest.raises(CriterionInapplicable):
+                cornacchia_gold(f, p)
 
     @pytest.mark.extended
     @pytest.mark.parametrize(
