@@ -17,11 +17,14 @@ because alpha has norm 1.  Neither 2 nor 3 divides a candidate: u_q / 4
 is odd, and u_n = 2, 1, 2, 1, ... (mod 3).
 
 The search runs the recurrence once and classifies the candidates in
-order through fan_out, one process pool per search; its checkpoint is
-the JSON state of the recurrence plus the records so far.  fan_out
-lives here, with its one caller, so that only this module loads the
-process-pool machinery; the package and the CLI import this module on
-first use.
+order through fan_out, one process pool per search.  Its checkpoint
+holds what the recurrence cannot rebuild: n and the q and status of each
+odd prime q <= n, about 36 bytes a candidate (44 KB at q <= 10**4, where
+the format that also held p, x and the recurrence state reached 6.7 MB).
+A file in that format resumes too; its other fields are dropped at the
+next write.  fan_out lives here, with its one caller, so that only this
+module loads the process-pool machinery; the package and the CLI import
+this module on first use.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .gaussfact import exceptional_fq
 from .modmath import (
     MR_DETERMINISTIC_BOUND,
     _read_checkpoint,
@@ -49,14 +51,12 @@ __all__ = [
     "pell_search",
     "pell_implies_nontrivial",
     "TRIAL_DIVISION_BOUND",
-    "NONTRIVIAL_SIZE_GUARD",
     "fan_out",
 ]
 
 TRIAL_DIVISION_BOUND = 10**6
-NONTRIVIAL_SIZE_GUARD = 10**7
 _CHECKPOINT_EVERY = 100
-_STATE = ("u_prev", "u_cur", "y_prev", "y_cur")  # the checkpoint's recurrence state
+_STATUSES = ("prime_proven_small", "probable_prime", "composite")
 
 
 class PellRecord(NamedTuple):
@@ -65,7 +65,7 @@ class PellRecord(NamedTuple):
     q: int
     p_candidate: int
     digits: int
-    status: str  # prime_proven_small | probable_prime | composite
+    status: str  # one of _STATUSES
     x: int
 
 
@@ -115,13 +115,6 @@ def _digit_count(n: int) -> int:
 def _int_to_str(n: int) -> str:
     """str(n), also past the 4300 digits where CPython's int str() stops."""
     return str(decimal.Decimal(n))
-
-
-def _str_to_int(s: str) -> int:
-    """int(s) for a string of digits, also past CPython's 4300-digit int() limit."""
-    if not str.isdecimal(s):
-        raise ValueError(f"{s!r} is not a string of digits")
-    return int(decimal.Decimal(s))
 
 
 def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
@@ -174,83 +167,84 @@ def pell_search(
     Runs the recurrence once, then classifies the candidates at prime
     indices by trial division below 10**6 and a primality test, in order,
     through fan_out: one pool of workers processes per search.
-    With checkpoint set, the recurrence state and the records are saved
-    at every index divisible by 100 and at q_bound, as soon as every
-    candidate up to that index is classified, and a rerun resumes from
-    the last saved index.  A rerun with a smaller q_bound returns the
-    saved records with q <= q_bound.
+    With checkpoint set, the file is written at every index divisible by
+    100 and at q_bound, as soon as every candidate up to that index is
+    classified; a rerun classifies only the candidates past the saved
+    index, and one with a smaller q_bound leaves the file as it is.
     """
     if q_bound < 3:
         raise ValueError("q_bound must be at least 3")
-    n = 1
-    up, uc = 2, 4  # u_{n-1}, u_n
-    yp, yc = 0, 1
-    done: list[dict] = []
+    n, statuses = 1, []
     if checkpoint is not None:
         saved = _read_checkpoint(checkpoint, {"kind": "pell_search"}, _decode_state)
-        if saved is not None:
-            n, (up, uc, yp, yc), records = saved
-            done = [_record_dict(r) for r in records if r.q <= q_bound]
+        n, statuses = saved or (n, statuses)
     is_prime = prime_flags(q_bound)
     candidates: list[tuple[int, int, int]] = []
-    marks: list[tuple[int, dict]] = []  # (records due by then, state)
-    while n < q_bound:
+    marks: list[tuple[int, int]] = []  # (records due by then, index)
+    up, uc = 2, 4  # u_{k-1}, u_k
+    yp, yc = 0, 1
+    for k in range(2, q_bound + 1):
         up, uc = uc, 4 * uc - up
         yp, yc = yc, 4 * yc - yp
-        n += 1
-        if n % 2 and n >= 3 and is_prime[n]:
-            candidates.append((n, uc // 4, (yc - 1) // 2))
-        if checkpoint is not None and (n % _CHECKPOINT_EVERY == 0 or n == q_bound):
-            state = {"kind": "pell_search", "n": n}
-            state.update(zip(_STATE, map(_int_to_str, (up, uc, yp, yc))))
-            marks.append((len(done) + len(candidates), state))
-    results = fan_out(_classify_args, candidates, workers)
+        if k % 2 and is_prime[k]:
+            candidates.append((k, uc // 4, (yc - 1) // 2))
+        at_mark = k % _CHECKPOINT_EVERY == 0 or k == q_bound
+        if checkpoint is not None and k > n and at_mark:
+            marks.append((len(candidates), k))
+    # the saved statuses cover the candidates with q <= n, in order
+    restored = [
+        PellRecord(q, p, _digit_count(p), status, x)
+        for (q, p, x), status in zip(candidates, statuses)
+    ]
+    results = fan_out(_classify_args, candidates[len(restored) :], workers)
+    records, done = chain(restored, results), []
     try:
-        for due, state in marks:
-            while len(done) < due:
-                done.append(_record_dict(next(results)))
-            _write_checkpoint(checkpoint, {**state, "records": done})
-        done.extend(_record_dict(r) for r in results)
+        for due, k in marks:
+            done += islice(records, due - len(done))
+            kept = [{"q": r.q, "status": r.status} for r in done]
+            _write_checkpoint(checkpoint, dict(kind="pell_search", n=k, records=kept))
+        done += records
     finally:
         results.close()
-    return [_record_from_dict(d) for d in done if d["status"] != "composite"]
+    return [r for r in done if r.status != "composite"]
 
 
-def _decode_state(saved: dict) -> tuple[int, list[int], list[PellRecord]]:
-    """The checkpoint's index n, recurrence state and records, all decoded."""
+def _decode_state(saved: dict) -> tuple[int, list[str]]:
+    """The checkpoint's n and the status of each odd prime q <= n, in order.
+
+    ValueError unless the records' q are exactly those primes and every
+    status is known.
+    """
     n = operator.index(saved["n"])
-    state = [_str_to_int(saved[k]) for k in _STATE]
-    return n, state, [_record_from_dict(d) for d in saved["records"]]
-
-
-def _record_dict(r: PellRecord) -> dict:
-    return {
-        "q": r.q,
-        "p": _int_to_str(r.p_candidate),
-        "digits": r.digits,
-        "status": r.status,
-        "x": _int_to_str(r.x),
-    }
-
-
-def _record_from_dict(d: dict) -> PellRecord:
-    return PellRecord(
-        q=operator.index(d["q"]),
-        p_candidate=_str_to_int(d["p"]),
-        digits=operator.index(d["digits"]),
-        status=d["status"],
-        x=_str_to_int(d["x"]),
-    )
+    qs = [operator.index(d["q"]) for d in saved["records"]]
+    # a prime lies in (q, 2q]: sieving past twice the last q only finds one
+    # the records lack, so a forged n cannot size the sieve
+    top = min(n, 2 * max(qs, default=2))
+    if qs != [*compress(range(3, top + 1, 2), prime_flags(top)[3::2])]:
+        raise ValueError(f"the records' q are not the odd primes up to n = {n}")
+    statuses = [d["status"] for d in saved["records"]]
+    for s in statuses:
+        if s not in _STATUSES:
+            raise ValueError(f"unknown status {s!r}")
+    return n, statuses
 
 
 def pell_implies_nontrivial(record: PellRecord) -> bool:
-    """Check the implication numerically: the candidate must be exceptional.
+    """Gold's criterion for Q(sqrt -3) at the record's p: True iff p is non-trivial.
 
-    Requires a non-composite record with p small enough for the O(p)
-    Fermat-quotient test.
+    alpha = (x + 1) - x omega, omega a cube root of unity, has norm
+    3x**2 + 3x + 1 = p**2 and trace 3x + 2 and is prime to p, so
+    (alpha) = P**2 with P over p, and alpha = 3x + 2 in the embedding into
+    Z/p**2 where it is a unit.  If P = (beta), alpha = e beta**2 for a
+    sixth root of unity e, e**(p-1) = 1, and squaring is a bijection on
+    (1 + conj(P))/(1 + conj(P)**2), so P**2 gives P's verdict: p is
+    non-trivial iff (3x + 2)**(p-1) = 1 (mod p**2), one power at every
+    size.  Requires a non-composite record with p**2 = 3x**2 + 3x + 1 and
+    p = 1 (mod 3).
     """
+    p, x = record.p_candidate, record.x
     if record.status == "composite":
         raise ValueError("record must not be composite")
-    if record.p_candidate > NONTRIVIAL_SIZE_GUARD:
-        raise ValueError(f"p exceeds the {NONTRIVIAL_SIZE_GUARD} size guard")
-    return exceptional_fq(record.p_candidate, 3).verdict
+    if p * p != 3 * x * x + 3 * x + 1 or p % 3 != 1:
+        raise ValueError("need p**2 = 3x**2 + 3x + 1 and p = 1 (mod 3)")
+    return pow(3 * x + 2, p - 1, p * p) == 1

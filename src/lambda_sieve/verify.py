@@ -620,10 +620,13 @@ def pell_prime_index_values() -> tuple[bool, str]:
 
 @_check("pell")
 def pell_implies_exceptional() -> tuple[bool, str]:
-    for r in pell_search(16):
+    recs = pell_search(300)
+    for r in recs:
         if not pell_implies_nontrivial(r):
             return False, f"candidate at q={r.q} is not exceptional"
-    return True, "all candidates with q <= 13 pass the m=3 test"
+        if not cornacchia_gold(make_field(3), r.p_candidate).verdict:
+            return False, f"Gold's route disagrees at q={r.q}"
+    return True, f"all {len(recs)} survivors with q <= 300 are exceptional by both routes"
 
 
 # -------------------------------------------------------------------- cli

@@ -267,6 +267,34 @@ class TestPathChecks:
         assert f"{path} is not a checkpoint: malformed payload" in err
         assert path.read_text() == text
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            # the 45-digit survivor at q = 79 would silently go missing
+            (lambda recs: [r for r in recs if r["q"] != 79], "not the odd primes"),
+            # and a record past n would be classified a second time
+            (lambda recs: [*recs, {"q": 101, "status": "composite"}], "not the odd primes"),
+            (
+                lambda recs: [{**r, "status": "prime"} if r["q"] == 79 else r for r in recs],
+                "unknown status 'prime'",
+            ),
+        ],
+        ids=["gap", "record-past-n", "unknown-status"],
+    )
+    def test_pell_records_are_checked(self, capsys, tmp_path, edit, problem):
+        path = tmp_path / "state.json"
+        assert main(["pell", "--q-bound", "100", "--checkpoint", str(path)]) == 0
+        state = json.loads(path.read_text())
+        text = json.dumps({**state, "records": edit(state["records"])})
+        path.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["pell", "--q-bound", "200", "--checkpoint", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a checkpoint: malformed payload" in err and problem in err
+        assert path.read_text() == text
+
 
 def test_scans_accept_workers(capsys):
     # accepted for a uniform interface; neither scan starts a process

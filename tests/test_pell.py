@@ -1,5 +1,5 @@
-import decimal
 import json
+import math
 import multiprocessing
 
 import mpmath
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import lambda_sieve.pell as pell_mod
 from lambda_sieve._kernels import primes_upto
-from lambda_sieve.gaussfact import scan_exceptional
+from lambda_sieve.gaussfact import exceptional_fq, scan_exceptional
+from lambda_sieve.jacobi import cornacchia_gold
 from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
-    NONTRIVIAL_SIZE_GUARD,
     TRIAL_DIVISION_BOUND,
     PellRecord,
     _classify,
@@ -23,6 +23,7 @@ from lambda_sieve.pell import (
     pell_search,
     pell_value,
 )
+from lambda_sieve.quadfields import make_field
 
 KNOWN = {
     3: 13,
@@ -68,6 +69,19 @@ class TestPellValue:
 
 def odd_primes_upto(n):
     return [q for q in range(3, n + 1, 2) if is_probable_prime(q)]
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """The q of every candidate that _classify is given, in order."""
+    seen, classify = [], pell_mod._classify
+
+    def counting(q, p, x):
+        seen.append(q)
+        return classify(q, p, x)
+
+    monkeypatch.setattr(pell_mod, "_classify", counting)
+    return seen
 
 
 def least_prime_divisor(n, primes):
@@ -187,22 +201,112 @@ class TestSearch:
         monkeypatch.undo()
         assert pell_search(300, workers=2, checkpoint=str(cp)) == pell_search(300)
 
+    def test_checkpoint_grows_linearly(self, tmp_path, monkeypatch):
+        cp = tmp_path / "state.json"
+        write = pell_mod._write_checkpoint
+        sizes = []
+
+        def write_and_measure(path, payload):
+            write(path, payload)
+            sizes.append((len(payload["records"]), cp.stat().st_size))
+
+        monkeypatch.setattr(pell_mod, "_write_checkpoint", write_and_measure)
+        pell_search(300, checkpoint=str(cp))
+        assert [k for k, _ in sizes] == [24, 45, 61]  # odd primes <= 100, 200, 300
+        for k, size in sizes:
+            assert size <= 64 + 48 * k, (k, size)
+        state = json.loads(cp.read_text())
+        assert set(state) == {"kind", "n", "records"}
+        assert all(set(r) == {"q", "status"} for r in state["records"])
+
+    def test_earlier_format_checkpoint_resumes(self, tmp_path, classified):
+        # the format that also held the recurrence state and each record's
+        # p, digits and x: only q and status are read, the rest is dropped
+        u, y = [2, 4], [0, 1]
+        for _ in range(99):
+            u.append(4 * u[-1] - u[-2])
+            y.append(4 * y[-1] - y[-2])
+        full = pell_search(240)
+        classified.clear()
+        status = {r.q: r.status for r in full}
+        records = [
+            {
+                "q": q,
+                "p": str(u[q] // 4),
+                "digits": len(str(u[q] // 4)),
+                "status": status.get(q, "composite"),
+                "x": str((y[q] - 1) // 2),
+            }
+            for q in odd_primes_upto(100)
+        ]
+        cp = tmp_path / "state.json"
+        cp.write_text(
+            json.dumps(
+                {
+                    "kind": "pell_search",
+                    "n": 100,
+                    "u_prev": str(u[99]),
+                    "u_cur": str(u[100]),
+                    "y_prev": str(y[99]),
+                    "y_cur": str(y[100]),
+                    "records": records,
+                }
+            )
+        )
+        assert pell_search(240, checkpoint=str(cp)) == full
+        assert classified == [q for q in odd_primes_upto(240) if q > 100]
+        state = json.loads(cp.read_text())
+        assert set(state) == {"kind", "n", "records"} and state["n"] == 240
+        assert state["records"][: len(records)] == [
+            {"q": r["q"], "status": r["status"]} for r in records
+        ]
+
 
 class TestImplication:
     def test_small_candidates_are_exceptional(self):
         for r in pell_search(16):
             assert pell_implies_nontrivial(r)
 
-    def test_size_guard(self):
-        big = next(r for r in pell_search(20) if r.q == 17)
-        assert big.p_candidate > NONTRIVIAL_SIZE_GUARD
-        with pytest.raises(ValueError):
-            pell_implies_nontrivial(big)
+    def test_agrees_with_gold_route_at_every_size(self):
+        field = make_field(3)
+        recs = pell_search(300)
+        assert {1321442641, 18405321661, KNOWN[79]} < {r.p_candidate for r in recs}
+        for r in recs:
+            verdict = pell_implies_nontrivial(r)
+            assert verdict == cornacchia_gold(field, r.p_candidate).verdict, r.q
+            if r.q <= 13:  # the O(p) Fermat-quotient route, where it is cheap
+                assert verdict == exceptional_fq(r.p_candidate, 3).verdict, r.q
+
+    def test_square_of_a_prime_gives_golds_verdict(self):
+        # the step the implication rests on, for every prime p = 1 (mod 3)
+        # below 1000: any alpha = a + b omega of norm p**2 prime to p has
+        # trace 2a - b, and (2a - b)**(p-1) = 1 (mod p**2) is Gold's verdict
+        field, verdicts = make_field(3), set()
+        for p in range(7, 1000, 6):
+            if not is_probable_prime(p):
+                continue
+            for b in range(1, 2 * p):
+                disc = 4 * p * p - 3 * b * b  # a**2 - a b + b**2 = p**2
+                r = math.isqrt(max(disc, 0))
+                if disc >= 0 and r * r == disc and (b + r) % 2 == 0 and b % p:
+                    a = (b + r) // 2
+                    verdict = pow(2 * a - b, p - 1, p * p) == 1
+                    assert verdict == cornacchia_gold(field, p).verdict, (p, a, b)
+                    verdicts.add(verdict)
+                    break
+            else:
+                raise AssertionError(f"no alpha of norm {p}**2 found")
+        assert verdicts == {True, False}
 
     def test_composite_record_rejected(self):
         fake = PellRecord(q=9, p_candidate=pell_value(9), digits=5, status="composite", x=0)
         with pytest.raises(ValueError):
             pell_implies_nontrivial(fake)
+
+    def test_witness_off_the_identity_rejected(self):
+        rec = next(r for r in pell_search(20) if r.q == 17)
+        with pytest.raises(ValueError):
+            pell_implies_nontrivial(rec._replace(x=rec.x + 1))
 
 
 class TestPastStrLimit:
@@ -223,34 +327,16 @@ class TestPastStrLimit:
         assert rec.digits == 4348 and 10**4347 <= p < 10**4348
         assert rec.status == "composite" and p % 91237 == 0
 
-    def test_checkpoint_round_trip(self, tmp_path):
-        u, y = [2, 4], [0, 1]
-        for _ in range(7602):
-            u.append(4 * u[-1] - u[-2])
-            y.append(4 * y[-1] - y[-2])
-
-        def dec(n):
-            return str(decimal.Decimal(n))
-
+    def test_checkpoint_round_trip(self, tmp_path, classified):
+        # a saved search to 7601 with every candidate composite: the resumed
+        # search classifies the 4348-digit candidate at 7603 and nothing else
+        qs = odd_primes_upto(7601)
         cp = tmp_path / "state.json"
-        cp.write_text(
-            json.dumps(
-                {
-                    "kind": "pell_search",
-                    "n": 7601,
-                    "u_prev": dec(u[7600]),
-                    "u_cur": dec(u[7601]),
-                    "y_prev": dec(y[7600]),
-                    "y_cur": dec(y[7601]),
-                    "records": [],
-                }
-            )
-        )
+        records = [{"q": q, "status": "composite"} for q in qs]
+        cp.write_text(json.dumps({"kind": "pell_search", "n": 7601, "records": records}))
         assert pell_search(7603, checkpoint=str(cp)) == []
+        assert classified == [7603]
         state = json.loads(cp.read_text())
-        assert state["n"] == 7603 and state["u_cur"] == dec(u[7603])
-        assert state["y_prev"] == dec(y[7602])
-        (rec,) = state["records"]
-        assert rec["q"] == 7603 and rec["digits"] == 4348
-        assert rec["p"] == dec(u[7603] // 4) and rec["x"] == dec((y[7603] - 1) // 2)
-        assert pell_search(7603, checkpoint=str(cp)) == []
+        assert state["n"] == 7603
+        assert state["records"] == [*records, {"q": 7603, "status": "composite"}]
+        assert pell_search(7603, checkpoint=str(cp)) == [] and classified == [7603]
