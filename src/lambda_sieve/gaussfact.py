@@ -8,9 +8,19 @@ are coprime to n.  A prime p = 1 (mod m) is called exceptional for m
 
 the alpha = 1 case being the one tied to lambda invariants.  Three
 independent evaluation routes are provided: the direct product, a
-Fermat-quotient form that costs O(p), and a Gauss-factorial-ratio form
-coming from Jacobi sums.  They must always agree; the verify module
+Fermat-quotient form that costs O(p), and the paper's criterion at any
+order r, a product of Gauss-factorial ratios coming from Jacobi sums
+(exceptional_general).  They must always agree; the verify module
 checks that they do.
+
+The ratio route needs N_p! mod p**2 at N = Q p + R (0 <= R < p) with Q
+as large as p**(2r) / p.  Each full block of p - 1 consecutive units is
+(p-1)! (1 + j p H_{p-1}) = (p-1)! (mod p**2), so
+
+    N_p!  =  ((p-1)!)**Q  R!  (1 + Q p H_R)   (mod p**2),
+
+and one O(p) table of k! mod p**2 and H_k mod p, k < p, gives every
+such factorial in O(log Q) (_factorial_table, _block_gauss_factorial).
 
 Scans do not run the O(p) route once per prime.  scan_exceptional
 rewrites its xi through n! and (p-1)! mod p**2, n = (p-1)/m, plus
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
 from .modmath import (
@@ -40,7 +51,7 @@ from .modmath import (
     sieve_primes,
     wilson_quotient,
 )
-from .quadfields import QuadField, _applicability, _check_prime, character_table
+from .quadfields import QuadField, _applicability, _check_prime, chi
 
 __all__ = [
     "ExceptionalVerdict",
@@ -144,15 +155,48 @@ def exceptional_fq(p: int, m: int) -> ExceptionalVerdict:
     return ExceptionalVerdict(p=p, m=m, alpha=1, xi=Residue(_xi_fq(p, m), p))
 
 
-def _ratio_factor(p: int, i: int, D: int, r: int, p2: int) -> int:
-    """The Jacobi-sum surrogate for index i:
+def _factorial_table(p: int) -> tuple[list[int], list[int]]:
+    """(k! mod p**2, H_k mod p) for 0 <= k < p, p an odd prime.
+
+    1/k mod p comes from 1/k = -(p // k) / (p % k), so the table is
+    built in O(p) multiplications with no modular power.
+    """
+    p2 = p * p
+    fact, harm, inv = [1] * p, [0] * p, [0] * p
+    for k in range(1, p):
+        inv[k] = -(p // k) * inv[p % k] % p if k > 1 else 1
+        fact[k] = fact[k - 1] * k % p2
+        harm[k] = (harm[k - 1] + inv[k]) % p
+    return fact, harm
+
+
+def _block_gauss_factorial(
+    N: int, p: int, table: tuple[list[int], list[int]]
+) -> int:
+    """N_p! mod p**2 off table = _factorial_table(p), by the block formula.
+
+    With N = Q p + R, the block jp + 1 .. jp + p - 1 is (p-1)! mod p**2
+    for every j < Q, and the partial block Q p + 1 .. Q p + R is
+    R! (1 + Q p H_R) mod p**2.
+    """
+    fact, harm = table
+    Q, R = divmod(N, p)
+    p2 = p * p
+    return pow(fact[p - 1], Q, p2) * fact[R] * (1 + Q * harm[R] % p * p) % p2
+
+
+def _ratio_factor(
+    p: int, i: int, D: int, r: int, table: tuple[list[int], list[int]]
+) -> int:
+    """The Jacobi-sum surrogate for index i, off table = _factorial_table(p):
 
     (i*(p**(2r) - 1)/(D/2))_p! / ((i*(p**(2r) - 1)/D)_p!)**2  mod p**2.
     """
     M = p ** (2 * r)
-    half = gauss_factorial(i * ((M - 1) // (D // 2)), p, p2)
-    full = gauss_factorial(i * ((M - 1) // D), p, p2)
-    return half * pow(full * full % p2, -1, p2) % p2
+    p2 = p * p
+    half = _block_gauss_factorial(i * ((M - 1) // (D // 2)), p, table)
+    full = _block_gauss_factorial(i * ((M - 1) // D), p, table)
+    return half * pow(full * full, -1, p2) % p2
 
 
 def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
@@ -162,21 +206,19 @@ def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     units 0 < i < D/2 (the discriminant divides D), then raises to the
     (p-1)-st power; the verdict is whether the result is 1 mod p**2.
     On a maximal field every such unit has chi(i) = +1, so the product
-    is of plain ratio factors.  Preconditions are those of
-    quadfields._applicability at order r, and p**(2r) < 2**61.
+    is of plain ratio factors.  Every factor is read off one
+    _factorial_table(p), so the cost is O(p) at every order r.
+    Preconditions are those of quadfields._applicability at order r.
     """
     _applicability(field, p, r)
-    if p ** (2 * r) >= 1 << 61:
-        raise ValueError("p**(2r) out of int64 range")
     D = field.D  # even and at least 4 for every field make_field builds
-    tbl = character_table(field)
+    table = _factorial_table(p)
     p2 = p * p
     acc = 1
     for i in range(1, D // 2):
-        if math.gcd(i, D) != 1:
-            continue
-        f = _ratio_factor(p, i, D, r, p2)
-        acc = acc * (f if tbl[i] == 1 else pow(f, -1, p2)) % p2
+        if math.gcd(i, D) == 1:
+            f = _ratio_factor(p, i, D, r, table)
+            acc = acc * pow(f, chi(field, i), p2) % p2
     return pow(acc, p - 1, p2) == 1
 
 
@@ -332,26 +374,28 @@ def scan_exceptional(
     work each.  With checkpoint set, the (p, xi) pairs found so far are
     saved after every 6400 new primes and at the end, and a rerun with
     the same m and start resumes after the last saved prime.  A rerun
-    with a smaller bound returns the saved pairs with p <= bound.
+    with a smaller bound returns the saved pairs with p <= bound.  A
+    saved file whose pairs are not what the scan would have written
+    raises CheckpointError (see _decode_scan).
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    lo = first = max(start, 3)
+    first = max(start, 3)
     if bound < first:
         raise ValueError("empty range")
+    primes = list(sieve_primes(first, bound, m))
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
         header = {"kind": "scan_exceptional", "m": m, "start": first}
-        saved = _read_checkpoint(checkpoint, header, _decode_scan)
-        if saved is not None:
-            kept, next_start = saved
-            pairs = [(p, x) for p, x in kept if p <= bound]
-            lo = max(lo, next_start)
-    primes = list(sieve_primes(lo, bound, m)) if lo <= bound else []
-    for done, pair in enumerate(_xi_batch(m, primes), 1):
+        saved = _read_checkpoint(
+            checkpoint, header, lambda saved: _decode_scan(saved, primes, bound)
+        )
+        pairs = saved or []
+    todo = primes[len(pairs) :]
+    for done, pair in enumerate(_xi_batch(m, todo), 1):
         pairs.append(pair)
         if checkpoint is not None and (
-            done % _SCAN_CHECKPOINT_PRIMES == 0 or done == len(primes)
+            done % _SCAN_CHECKPOINT_PRIMES == 0 or done == len(todo)
         ):
             _write_checkpoint(
                 checkpoint,
@@ -364,7 +408,22 @@ def scan_exceptional(
     return [ExceptionalVerdict(p, m, 1, Residue(x, p)) for p, x in pairs]
 
 
-def _decode_scan(saved: dict) -> tuple[list[tuple[int, int]], int]:
-    """The checkpoint's (p, xi) pairs and next_start, both checked to be ints."""
+def _decode_scan(
+    saved: dict, primes: list[int], bound: int
+) -> list[tuple[int, int]]:
+    """The checkpoint's (p, xi) pairs with p <= bound.
+
+    primes are the scan's primes up to bound.  ValueError unless the
+    pairs' p are exactly those below the checkpoint's next_start, in
+    order, and each xi lies in [0, p).
+    """
     pairs = [(operator.index(p), operator.index(x)) for p, x in saved["pairs"]]
-    return pairs, operator.index(saved["next_start"])
+    next_start = operator.index(saved["next_start"])
+    kept = [(p, x) for p, x in pairs if p <= bound]
+    if [p for p, _ in kept] != primes[: bisect_left(primes, next_start)]:
+        top = min(bound, next_start - 1)
+        raise ValueError(f"the pairs' p are not the scan's primes up to {top}")
+    for p, x in kept:
+        if not 0 <= x < p:
+            raise ValueError(f"xi = {x} is not in [0, {p}) at p = {p}")
+    return kept

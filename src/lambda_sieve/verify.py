@@ -472,16 +472,17 @@ def jacobi_norm_relation() -> tuple[bool, str]:
 
 @_check("jacobi")
 def jacobi_equals_minus_ratio() -> tuple[bool, str]:
-    from .gaussfact import _ratio_factor
+    from .gaussfact import _factorial_table, _ratio_factor
 
     for D in (4, 6, 8, 20, 24):
         for p in sieve_primes(3, 500, D):
             p2 = p * p
+            table = _factorial_table(p)
             for i in range(1, (D + 1) // 2):
                 if math.gcd(i, D) != 1:
                     continue
                 j = jacobi_sum_mod_p2(p, D, -i)
-                r = _ratio_factor(p, i, D, 1, p2)
+                r = _ratio_factor(p, i, D, 1, table)
                 if (j + r) % p2 != 0:
                     return False, f"sum relation fails at p={p}, D={D}, i={i}"
     return True, "lower-half sums equal minus the factorial ratio"

@@ -295,6 +295,49 @@ class TestPathChecks:
         assert f"{path} is not a checkpoint: malformed payload" in err and problem in err
         assert path.read_text() == text
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            # the hit 181 would silently go missing
+            (
+                lambda st: {**st, "pairs": [q for q in st["pairs"] if q[0] != 181]},
+                "not the scan's primes up to 2971",
+            ),
+            # 5 is not 1 (mod 3), yet it would come out as a row
+            (
+                lambda st: {**st, "pairs": [[5, 0], *st["pairs"]]},
+                "not the scan's primes up to 2971",
+            ),
+            # and a xi of 10**9 would be reduced mod p
+            (
+                lambda st: {
+                    **st,
+                    "pairs": [[p, 10**9 if p == 181 else x] for p, x in st["pairs"]],
+                },
+                "xi = 1000000000 is not in [0, 181) at p = 181",
+            ),
+            # the primes of (2971, 4000] would be skipped
+            (
+                lambda st: {**st, "next_start": 10**6},
+                "not the scan's primes up to 4000",
+            ),
+        ],
+        ids=["gap", "wrong-class", "xi-out-of-range", "next-start-past-last-pair"],
+    )
+    def test_scan_pairs_are_checked(self, capsys, tmp_path, edit, problem):
+        path = tmp_path / "state.json"
+        argv = ["scan-exceptional", "--m", "3", "--checkpoint", str(path)]
+        assert main([*argv, "--bound", "3000"]) == 0
+        text = json.dumps(edit(json.loads(path.read_text())))
+        path.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--bound", "4000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a checkpoint: malformed payload" in err and problem in err
+        assert path.read_text() == text
+
 
 def test_scans_accept_workers(capsys):
     # accepted for a uniform interface; neither scan starts a process

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 from lambda_sieve import gaussfact
 from lambda_sieve.gaussfact import (
     _LEHMER,
+    _block_gauss_factorial,
     _cut_factorials,
+    _factorial_table,
+    _ratio_factor,
     _xi_batch,
     _xi_fq,
     cut_point_congruence_check,
@@ -19,8 +24,9 @@ from lambda_sieve.gaussfact import (
     gauss_factorial,
     scan_exceptional,
 )
+from lambda_sieve.jacobi import cornacchia_gold
 from lambda_sieve.modmath import fermat_quotient, harmonic_mod, sieve_primes
-from lambda_sieve.quadfields import make_field
+from lambda_sieve.quadfields import CriterionInapplicable, make_field, splits
 
 
 def reference_gauss_factorial(N, n, modulus):
@@ -128,9 +134,75 @@ class TestRatioRoute:
     def test_higher_power_residue_accepted(self):
         # 3 has order 4 mod 20, so r = 4 applies to d = 5
         f = make_field(5)
-        assert exceptional_general(3, f, r=4) in (True, False)
+        assert exceptional_general(3, f, r=4) == cornacchia_gold(f, 3).verdict
         with pytest.raises(ValueError):
             exceptional_general(3, f, r=1)
+
+    def test_block_formula_is_the_gauss_factorial(self):
+        # N_p! = ((p-1)!)**Q R! (1 + Q p H_R) (mod p**2), N = Q p + R: every
+        # N of the first three blocks and past them, and cut points past p
+        for p in sieve_primes(3, 400):
+            p2, table = p * p, _factorial_table(p)
+            cuts = [(p2 - 1) // m for m in (3, 4, 6) if (p2 - 1) % m == 0]
+            for N in [*range(3 * p + 3), *cuts]:
+                got = _block_gauss_factorial(N, p, table)
+                assert got == gauss_factorial(N, p, p2), (p, N)
+
+    def test_ratio_factor_is_the_factorial_ratio(self):
+        for D in (4, 6, 8, 20, 24):
+            for p in sieve_primes(3, 500, D):
+                p2, table = p * p, _factorial_table(p)
+                for i in range(1, D // 2):
+                    if math.gcd(i, D) != 1:
+                        continue
+                    half = gauss_factorial(i * (p2 - 1) // (D // 2), p, p2)
+                    full = gauss_factorial(i * (p2 - 1) // D, p, p2)
+                    want = half * pow(full, -2, p2) % p2
+                    assert _ratio_factor(p, i, D, 1, table) == want, (D, p, i)
+
+    # the hits (p, r) of the order-r criterion on every split p <= 5000
+    ORDER_R_HITS = {
+        2: [], 5: [], 6: [(131, 2)], 7: [], 10: [], 11: [(5, 5)],
+        13: [(113, 3)], 14: [(3, 6)], 15: [(1741, 1)], 21: [(107, 6), (173, 6)],
+        23: [],
+    }
+
+    def test_order_r_criterion_is_golds(self):
+        # every split p not dividing h, at r = the order of p mod D: the
+        # ratio route's verdict is Gold's, past p**(2r) = 2**61 too
+        hits, refused = {}, []
+        for d in self.ORDER_R_HITS:
+            f = make_field(d)
+            hits[d] = []
+            for p in sieve_primes(3, 5000):
+                if f.D % p == 0 or f.h % p == 0 or not splits(f, p):
+                    continue
+                r = next(k for k in range(1, f.D) if pow(p, k, f.D) == 1)
+                try:
+                    verdict = exceptional_general(p, f, r)
+                except CriterionInapplicable:
+                    refused.append((d, p))
+                    continue
+                assert verdict == cornacchia_gold(f, p).verdict, (d, p, r)
+                if verdict:
+                    hits[d].append((p, r))
+        assert hits == self.ORDER_R_HITS
+        assert refused == [(11, 3)]  # p = 3 with chi(2) = -1
+
+    def test_runs_without_numpy(self):
+        script = """
+import sys
+from lambda_sieve.gaussfact import exceptional_general
+from lambda_sieve.quadfields import make_field
+assert exceptional_general(5881, make_field(5))
+assert exceptional_general(173, make_field(21), 6)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCutPointIdentity:

@@ -247,6 +247,23 @@ class TestScan:
             t = (jacobi_mod._gold_value(f, p) - 1) // p
             assert t == c * xi % p, (p, xi)
 
+    # c_d = a/b.  The constants are measured, not derived: on these five
+    # maximal fields they are 1/h, h = 1, 1, 1, 2, 2
+    RATIO_TIE = {1: (1, 1), 2: (1, 1), 3: (1, 1), 5: (1, 2), 6: (1, 2)}
+
+    @pytest.mark.parametrize("d", sorted(RATIO_TIE))
+    def test_ratio_exponent_reads_gold_value(self, d):
+        # the paper's correspondence on values: the i = 1 ratio factor is
+        # (1 + p)**(xi(p, D/2) - 2 xi(p, D)) after its (p-1)-st power, and
+        # that exponent is c_d t_d (mod p) on every p = 1 (mod D) to 10**5
+        a, b = self.RATIO_TIE[d]
+        f = make_field(d)
+        primes = list(sieve_primes(3, 10**5, f.D))
+        half = dict(_xi_batch(f.D // 2, primes))
+        for p, xi in _xi_batch(f.D, primes):
+            t = (jacobi_mod._gold_value(f, p) - 1) // p
+            assert (half[p] - 2 * xi) * b % p == a * t % p, (p, xi)
+
     @pytest.mark.parametrize("d", [2, 7, 15])
     def test_cut_point_values_reject_inapplicable_prime(self, d):
         # the name is kept from the remainder-tree route the scan took
