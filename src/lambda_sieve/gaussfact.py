@@ -269,24 +269,16 @@ def _factorial_residues(xs: Sequence[int], moduli: Sequence[int]) -> Iterator[in
         yield from _walk(tree, xs, len(tree) - 1, 0, 1, False)
 
 
-# below this many factors a range is multiplied one factor at a time
-_RANGE_PROD_SPLIT = 64
-
-
-def _range_prod(lo: int, hi: int) -> int:
-    """prod(range(lo, hi)) by binary splitting, so a long gap is not quadratic."""
-    if hi - lo < _RANGE_PROD_SPLIT:
-        return math.prod(range(lo, hi))
-    mid = (lo + hi) // 2
-    return _range_prod(lo, mid) * _range_prod(mid, hi)
-
-
 def _walk(
     tree: list[list[int]], xs: Sequence[int], depth: int, j: int, v: int, need: bool
 ):
     """Yield the leaves under node (depth, j); return its gap product if need."""
     if depth == 0:
-        gap = _range_prod(xs[j - 1] + 1 if j else 1, xs[j] + 1)
+        # x!/(x - k)!: the k factors above the previous leaf (above 0 for
+        # the first); math.perm splits them in halves, so a long gap is not
+        # quadratic
+        x = xs[j]
+        gap = math.perm(x, x - (xs[j - 1] if j else 0))
         yield v * gap % tree[0][j]
         return gap
     below = tree[depth - 1]

@@ -32,7 +32,7 @@ from .quadfields import (
     QuadField,
     _applicability,
     _check_prime,
-    character_table,
+    chi,
     splits,
 )
 
@@ -127,13 +127,10 @@ def lambda_criterion_jacobi(field: QuadField, p: int) -> LambdaVerdict:
     if field.maximal:
         u = jacobi_sum_mod_p2(p, D, -1)
     else:
-        tbl = character_table(field)
         u = 1
         for i in range(1, D // 2):
-            if math.gcd(i, D) != 1:
-                continue
-            j = jacobi_sum_mod_p2(p, D, -i)
-            u = u * (j if tbl[i] == 1 else pow(j, -1, p2)) % p2
+            if math.gcd(i, D) == 1:
+                u = u * pow(jacobi_sum_mod_p2(p, D, -i), chi(field, i), p2) % p2
     return LambdaVerdict(field, p, "jacobi", pow(u, p - 1, p2))
 
 

@@ -12,10 +12,13 @@ against the 1/2 normalization.
 
 E_{p-1} and G_{p-1} mod p**2 come from two routes.  The O(p**2)
 recurrence (euler_mod, glaisher_mod and the two criteria) is the series
-oracle that verify and the tests run.  The tables of every prime up to a
-bound (residues_from_xi, behind euler-check and glaisher-table) read
-them off the one batched xi pass of gaussfact.scan_exceptional, through
-E_{p-1} = 4p xi(p, 4) and G_{p-1} = 3p xi(p, 3) (mod p**2).
+oracle that verify and the tests run; up to index p - 1 it works over
+tables of k! mod p**2, and past p it is the exact integer recurrence of
+euler_exact and glaisher_exact, reduced mod p**2 term by term.  The
+tables of every prime up to a bound (residues_from_xi, behind
+euler-check and glaisher-table) read them off the one batched xi pass of
+gaussfact.scan_exceptional, through E_{p-1} = 4p xi(p, 4) and
+G_{p-1} = 3p xi(p, 3) (mod p**2).
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def bernoulli_poly_exact(n: int, t: Fraction) -> Fraction:
     return acc
 
 
-def _even_recurrence_exact(n_max: int, g0, mult) -> list:
-    """seq[0..n_max] by the recurrence of _even_recurrence_mod without a
-    modulus, over int or Fraction g0 and mult; odd entries are 0."""
+def _even_recurrence_exact(n_max: int, g0, mult, modulus: int | None = None) -> list:
+    """seq[0..n_max] by the recurrence of _even_recurrence_mod, over int or
+    Fraction g0 and mult; odd entries are 0.  With an int modulus (int g0
+    and mult only) each entry is reduced mod it."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     vals = [g0]
@@ -102,8 +106,8 @@ def _even_recurrence_exact(n_max: int, g0, mult) -> list:
         if n % 2:
             vals.append(0 * g0)
             continue
-        acc = sum(math.comb(n, j) * vals[n - j] for j in range(2, n + 1, 2))
-        vals.append(mult * acc)
+        acc = mult * sum(math.comb(n, j) * vals[n - j] for j in range(2, n + 1, 2))
+        vals.append(acc if modulus is None else acc % modulus)
     return vals
 
 
@@ -130,8 +134,10 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
 
     Computes seq[n] for even n <= n_max where
     seq[n] = mult * sum_{j>=1} C(n, 2j) seq[n-2j], seq[0] = g0.
-    Uses factorial tables when n_max < p (one vector multiply and one
-    sum per row); falls back to additive Pascal rows otherwise.
+    Needs n_max < p for its factorial tables, so that every k! is a unit:
+    then each row is one vector multiply and one sum.  For n_max >= p it
+    returns _even_recurrence_exact reduced mod p**2, an O(n_max**2)
+    big-integer recurrence that no criterion or scan reaches.
     """
     # a row adds n_max // 2 residues below modulus in int64; for n_max = p - 1
     # and modulus p**2 that is exact for every prime p <= 2642245
@@ -139,47 +145,33 @@ def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
         raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
     import numpy as np
 
+    if n_max >= p:
+        seq = _even_recurrence_exact(n_max, g0 % modulus, mult, modulus)
+        return np.array(seq, dtype=np.int64)
+
     from . import _kernels
 
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = g0 % modulus
-    if n_max < 1:
-        return out
     kmax = n_max // 2
-    if n_max < p:
-        arr = np.arange(n_max + 1, dtype=np.int64)
-        arr[0] = 1
-        fact = _kernels.cumprod_mod(arr, modulus)
-        inv_last = pow(int(fact[n_max]), -1, modulus)
-        rev = np.concatenate(
-            [np.int64([inv_last]), np.arange(n_max, 0, -1, dtype=np.int64)]
-        )
-        invfact = _kernels.cumprod_mod(rev, modulus)[::-1].copy()
-        # invfact[i] = (i!)**-1: entry n_max came first in rev order
-        ie = invfact[2::2]  # ie[j-1] = 1/(2j)!
-        w = np.zeros(kmax + 1, dtype=np.int64)  # w[i] = seq[2i]/(2i)!
-        w[0] = g0 % modulus
-        for k in range(1, kmax + 1):
-            terms = _kernels.mulmod(ie[:k], w[k - 1 :: -1], modulus)
-            s = int(terms.sum() % modulus)
-            val = mult * int(fact[2 * k]) % modulus * s % modulus
-            out[2 * k] = val
-            w[k] = int(_kernels.mulmod(invfact[2 * k], val, modulus))
-        return out
-    # Pascal fallback: maintain the binomial row C(n, .) additively
-    row = np.zeros(n_max + 1, dtype=np.int64)
-    row[0] = 1
-    evens = np.zeros(kmax + 1, dtype=np.int64)  # seq at even indices
-    evens[0] = g0 % modulus
-    for n in range(1, n_max + 1):
-        row[1 : n + 1] = (row[1 : n + 1] + row[:n]) % modulus
-        if n % 2:
-            continue
-        k = n // 2
-        coefs = row[2 : n + 1 : 2]  # C(n, 2j), j = 1..k
-        terms = _kernels.mulmod(coefs, evens[k - 1 :: -1], modulus)
-        evens[k] = mult * int(terms.sum() % modulus) % modulus
-        out[n] = evens[k]
+    arr = np.arange(n_max + 1, dtype=np.int64)
+    arr[0] = 1
+    fact = _kernels.cumprod_mod(arr, modulus)
+    inv_last = pow(int(fact[n_max]), -1, modulus)
+    rev = np.concatenate(
+        [np.int64([inv_last]), np.arange(n_max, 0, -1, dtype=np.int64)]
+    )
+    invfact = _kernels.cumprod_mod(rev, modulus)[::-1].copy()
+    # invfact[i] = (i!)**-1: entry n_max came first in rev order
+    ie = invfact[2::2]  # ie[j-1] = 1/(2j)!
+    w = np.zeros(kmax + 1, dtype=np.int64)  # w[i] = seq[2i]/(2i)!
+    w[0] = g0 % modulus
+    for k in range(1, kmax + 1):
+        terms = _kernels.mulmod(ie[:k], w[k - 1 :: -1], modulus)
+        s = int(terms.sum() % modulus)
+        val = mult * int(fact[2 * k]) % modulus * s % modulus
+        out[2 * k] = val
+        w[k] = int(_kernels.mulmod(invfact[2 * k], val, modulus))
     return out
 
 

@@ -15,7 +15,7 @@ from lambda_sieve.jacobi import (
     scan_lambda,
 )
 from lambda_sieve.modmath import sieve_primes
-from lambda_sieve.quadfields import make_field, splits
+from lambda_sieve.quadfields import character_table, make_field, splits
 
 
 def reference_jacobi_sum(p, D, i):
@@ -114,6 +114,28 @@ class TestLambdaCriterion:
         f1 = make_field(1)
         with pytest.raises(CriterionInapplicable):
             lambda_criterion_jacobi(f1, 7)  # inert
+
+    def test_nonmaximal_value_is_the_character_product(self):
+        # the product over units 0 < i < D/2 of J(psi**-i) or its inverse,
+        # as chi(i) from character_table is 1 or -1, pinned as a residue
+        count = 0
+        for d in (7, 10, 11, 13, 14, 15, 19, 21, 23, 43, 67, 163):
+            f = make_field(d)
+            assert not f.maximal
+            tbl = character_table(f)
+            for p in sieve_primes(3, 2000, f.D):
+                try:
+                    got = lambda_criterion_jacobi(f, p).criterion_value
+                except CriterionInapplicable:
+                    continue
+                p2, u = p * p, 1
+                for i in range(1, f.D // 2):
+                    if math.gcd(i, f.D) == 1:
+                        j = jacobi_sum_mod_p2(p, f.D, -i)
+                        u = u * (j if tbl[i] == 1 else pow(j, -1, p2)) % p2
+                assert got == pow(u, p - 1, p2), (d, p)
+                count += 1
+        assert count == 192
 
     def test_verdict_value_consistency(self):
         f3 = make_field(3)

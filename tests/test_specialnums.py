@@ -24,6 +24,18 @@ from lambda_sieve.specialnums import (
 )
 
 
+def sympy_glaisher(n_max):
+    """G_0..G_n as Taylor coefficients of the generating function."""
+    x = sympy.symbols("x")
+    f = sympy.Rational(3, 2) / (sympy.exp(x) + sympy.exp(-x) + 1)
+    poly = sympy.Poly(sympy.series(f, x, 0, n_max + 2).removeO(), x)
+    vals = []
+    for n in range(n_max + 1):
+        c = sympy.Rational(poly.coeff_monomial(x**n) * sympy.factorial(n))
+        vals.append(Fraction(int(c.p), int(c.q)))
+    return vals
+
+
 def sympy_bernoulli(n):
     # sympy >= 1.12 uses the B_1 = +1/2 convention; this library keeps -1/2
     v = Fraction(int(sympy.bernoulli(n).p), int(sympy.bernoulli(n).q))
@@ -42,14 +54,7 @@ class TestExactSequences:
             assert vals[n] == int(sympy.euler(n)), n
 
     def test_glaisher_against_series_expansion(self):
-        # independent oracle: Taylor coefficients of the generating function
-        x = sympy.symbols("x")
-        f = sympy.Rational(3, 2) / (sympy.exp(x) + sympy.exp(-x) + 1)
-        poly = sympy.Poly(sympy.series(f, x, 0, 22).removeO(), x)
-        vals = glaisher_exact(20)
-        for n in range(21):
-            c = poly.coeff_monomial(x**n) * sympy.factorial(n)
-            assert vals[n] == Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q)), n
+        assert glaisher_exact(20) == sympy_glaisher(20)
 
     def test_glaisher_small_values(self):
         g = glaisher_exact(8)
@@ -104,12 +109,16 @@ class TestModularSequences:
             assert int(seq[n]) == v.numerator * pow(v.denominator, -1, modulus) % modulus
 
     def test_fallback_branch_agrees(self):
-        # n_max above p exercises the addition-only path
+        # n_max >= p takes the exact recurrence reduced mod p**2, the
+        # engine of euler_exact, so the oracle here is sympy's
         for p in (7, 11):
             seq = euler_mod(4 * p, p * p)
-            exact = euler_exact(4 * p)
-            for n in range(0, 4 * p + 1, 2):
-                assert int(seq[n]) == exact[n] % (p * p)
+            for n in range(4 * p + 1):
+                assert int(seq[n]) == int(sympy.euler(n)) % (p * p), (p, n)
+        modulus = 49
+        seq = glaisher_mod(20, modulus)
+        for n, v in enumerate(sympy_glaisher(20)):
+            assert int(seq[n]) == v.numerator * pow(v.denominator, -1, modulus) % modulus, n
 
     def test_int64_range_enforced(self):
         modulus = (10**9 + 7) ** 2
