@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 
@@ -102,6 +101,8 @@ def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
             w.writerow([_csv_cell(row[f]) for f in fields])
         text = buf.getvalue()
     elif args.format == "json":
+        import json
+
         doc = {
             "schema": SCHEMA_TAG,
             "command": command,

@@ -17,10 +17,8 @@ and pell run on Python ints alone and never load numpy.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import tempfile
 from itertools import compress
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -286,6 +284,9 @@ def _factorize(n: int) -> dict[int, int]:
 
 def _write_checkpoint(path: str, payload: dict) -> None:
     """Write payload as JSON to path atomically (temp file, then rename)."""
+    import json
+    import tempfile
+
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -312,6 +313,8 @@ def _read_checkpoint(path: str, header: dict, decode: Callable[[dict], Any]) -> 
     """
     if not os.path.exists(path):
         return None
+    import json
+
     with open(path) as fh:
         try:
             saved = json.load(fh)

@@ -89,22 +89,35 @@ def chi(field: QuadField, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _chi_table(disc: int, D: int) -> np.ndarray:
+    """chi on 0..D-1: Legendre tables (n/l) over the odd primes l | d, times
+    the 2-part of disc.
+
+    A fundamental disc is the product of the l* = (-1)**((l-1)/2) l and,
+    when it is even, of -4 or +-8; the character of l* is (n/l), and the
+    2-part is -4 for d = 1 (mod 4), none for d = 3 (mod 4), and -8 or 8
+    for d = 2d' as the number of l = 3 (mod 4) dividing d' is even or odd.
+    """
     import numpy as np
 
-    from . import _kernels
-
-    vals = np.zeros(D, dtype=np.int64)
-    if D > 1:
-        vals[1] = 1
-    spf = _kernels.spf_upto(D - 1)
-    for q in _kernels.primes_upto(D - 1):
-        vals[q] = kronecker(disc, int(q))
-    _kernels._composite_fill(vals, spf, lambda a, b: a * b)
+    n = np.arange(D)
+    vals = np.ones(D, dtype=np.int64)
+    odd = [q for q in _factorize(-disc) if q > 2]
+    for q in odd:
+        leg = np.full(q, -1, dtype=np.int64)
+        leg[0] = 0
+        leg[np.arange(1, q) ** 2 % q] = 1
+        vals *= leg[n % q]
+    if disc % 8 == 4:  # disc = -4d with d = 1 (mod 4): chi_{-4}
+        vals *= np.array([0, 1, 0, -1], dtype=np.int64)[n % 4]
+    elif disc % 4 == 0:  # disc = -8d': chi_{-8}, or chi_8 after an odd count of l = 3 (mod 4)
+        flip = sum(q % 4 == 3 for q in odd) % 2
+        two = [0, 1, 0, -1, 0, -1, 0, 1] if flip else [0, 1, 0, 1, 0, -1, 0, -1]
+        vals *= np.array(two, dtype=np.int64)[n % 8]
     return vals
 
 
 def character_table(field: QuadField) -> np.ndarray:
-    """chi on 0..D-1 as an int64 array (multiplicative fill over an spf sieve)."""
+    """chi on 0..D-1 as an int64 array (a product of Legendre tables)."""
     return _chi_table(field.discriminant, field.D).copy()
 
 

@@ -24,13 +24,14 @@ G_{p-1} = 3p xi(p, 3) (mod p**2).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .gaussfact import _xi_fq, scan_exceptional
 from .quadfields import QuadField, _check_prime
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -52,11 +53,15 @@ BERNOULLI_EXACT_LIMIT = 600
 IDENTITY_INDEX_LIMIT = 250
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = []  # B_0, B_1, ...; seeded on first use
 
 
 def _bernoulli_extend(n_max: int) -> None:
     # B_n = -1/(n+1) * sum_{k<n} C(n+1, k) B_k
+    from fractions import Fraction
+
+    if not _bernoulli_cache:
+        _bernoulli_cache.append(Fraction(1))
     while len(_bernoulli_cache) <= n_max:
         n = len(_bernoulli_cache)
         if n > 1 and n % 2:
@@ -82,6 +87,8 @@ def bernoulli_poly_exact(n: int, t: Fraction) -> Fraction:
     """B_n(t) = sum_k C(n, k) B_k t**(n-k), exactly."""
     if not 0 <= n <= BERNOULLI_EXACT_LIMIT:
         raise ValueError(f"n must be in [0, {BERNOULLI_EXACT_LIMIT}]")
+    from fractions import Fraction
+
     _bernoulli_extend(n)
     t = Fraction(t)
     powers = [Fraction(1)]
@@ -118,6 +125,8 @@ def euler_exact(n_max: int) -> list[int]:
 
 def glaisher_exact(n_max: int) -> list[Fraction]:
     """Glaisher numbers G_0..G_n as exact fractions (G_0 = 1/2)."""
+    from fractions import Fraction
+
     return _even_recurrence_exact(n_max, Fraction(1, 2), Fraction(-2, 3))
 
 
@@ -238,6 +247,8 @@ def glaisher_bernoulli_identity(n: int) -> bool:
     """Checks B_{2n+1}(1/3) = -(2n+1) G_{2n} / 3**(2n+1) exactly."""
     if not 0 <= n <= IDENTITY_INDEX_LIMIT:
         raise ValueError(f"n must be in [0, {IDENTITY_INDEX_LIMIT}]")
+    from fractions import Fraction
+
     lhs = bernoulli_poly_exact(2 * n + 1, Fraction(1, 3))
     g = glaisher_exact(2 * n)[2 * n]
     return lhs == Fraction(-(2 * n + 1)) * g / Fraction(3 ** (2 * n + 1))
@@ -247,6 +258,8 @@ def raabe_identity(n: int) -> bool:
     """Checks B_{2n+1}(1/6) = ((2**2n + 1)/2**2n) B_{2n+1}(1/3) exactly."""
     if not 0 <= n <= IDENTITY_INDEX_LIMIT:
         raise ValueError(f"n must be in [0, {IDENTITY_INDEX_LIMIT}]")
+    from fractions import Fraction
+
     lhs = bernoulli_poly_exact(2 * n + 1, Fraction(1, 6))
     rhs = Fraction(4**n + 1, 4**n) * bernoulli_poly_exact(
         2 * n + 1, Fraction(1, 3)

@@ -364,7 +364,7 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 unused = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect",
-          "lambda_sieve.pell", "lambda_sieve.verify")
+          "lambda_sieve.pell", "lambda_sieve.verify", "fractions", "decimal", "json")
 loaded = sorted(m for m in unused if m in sys.modules)
 assert not loaded, loaded
 argv = ["pell", "--q-bound", "60", "--workers", "2", "--checkpoint", {str(tmp_path / "p.ckpt")!r}]
@@ -377,6 +377,25 @@ assert not loaded, loaded
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(" rows\n") == 8
+
+
+def test_cli_startup_leaves_checkpoint_io_unloaded():
+    # tempfile is imported by the checkpoint writer alone.  Run without the
+    # site module, which may import tempfile itself before any test code
+    src = str(resources.files("lambda_sieve").parent)
+    script = f"""
+import sys
+sys.path.insert(0, {src!r})
+from lambda_sieve.cli import build_parser, main
+build_parser()
+assert main(["scan-lambda", "--d", "7", "--bound", "500", "--format", "csv"]) == 0
+assert main(["euler-check", "--bound", "200"]) == 0
+assert "tempfile" not in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_workers_help_says_what_it_does(capsys):

@@ -311,6 +311,28 @@ class TestScan:
         assert scan_lambda(f, 40000) == [v for v in per_prime if v.verdict]
         assert [v.p for v in scan_lambda(f, 40000)] == hits
 
+    RULE_FIELDS = (1, 2, 3, 5, 6, 7, 11, 15, 19, 23, 43, 163)
+
+    @pytest.mark.parametrize("d", RULE_FIELDS)
+    def test_gauss_root_squares_to_minus_d(self, d):
+        # the Gauss-sum root on every prime the scan sees to 10**4, whichever
+        # root the scan's rule would take there: a root of -d, and Gold's
+        # value from it equals the value from the Tonelli-Shanks root
+        f = make_field(d)
+        for p in sieve_primes(3, 10**4, f.D):
+            root = jacobi_mod._gauss_root(f, p)
+            assert 0 <= root < p and (root * root + d) % p == 0, p
+            assert jacobi_mod._gold_value(f, p, root) == jacobi_mod._gold_value(f, p), p
+
+    @pytest.mark.parametrize("d", RULE_FIELDS)
+    def test_scan_equals_cornacchia_gold_to_1e5(self, d):
+        # to 10**5 the scan's rule takes the Gauss sum on the larger primes
+        # for d = 1, 2, 3, 7, 11, 19 and 23, and Tonelli-Shanks on every
+        # other prime; cornacchia_gold always starts from Tonelli-Shanks
+        f = make_field(d)
+        want = [p for p in sieve_primes(3, 10**5, f.D) if cornacchia_gold(f, p).verdict]
+        assert [v.p for v in scan_lambda(f, 10**5)] == want
+
     def test_fast_path_matches_criterion(self):
         # d = 1 rows carry the value 1 and method fermat_quotient, not the
         # Jacobi unit's power; check the verdicts against the full criterion
