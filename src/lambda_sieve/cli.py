@@ -11,10 +11,13 @@ byte-identical for a given command and format regardless of it.  pell
 and verify are imported by their subcommands, so no other subcommand
 loads the process pool or the invariant battery.
 
-euler-check and glaisher-table read their rows off the same single xi
-pass as scan-exceptional (m = 4 and 3), through E_{p-1} = 4p xi(p, 4)
-and G_{p-1} = 3p xi(p, 3) (mod p**2); the O(p**2) recurrence of
-specialnums stays the series oracle of verify and the tests.
+euler-check and glaisher-table read their rows off Gold's criterion
+for Q(i) and Q(sqrt(-3)), the per-prime loop of scan-lambda on d = 1
+and d = 3 (specialnums.residues_from_xi): with v Gold's value
+u**(p-1) mod p**2, E_{p-1} = 2 (1 - v) and G_{p-1} = 1 - v (mod p**2).
+The O(p**2) recurrence of specialnums and scan-exceptional's remainder
+tree are their oracles: the recurrence in verify and the tests, the
+tree in the tests.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ a split p not dividing the class number h, one Cornacchia routine
 writes p**h (or 4p**h) as x**2 + d y**2, which gives a generator of
 P**h for a prime P over p, and its trace T alone gives the criterion
 value, u**(p-1) = 1 + p (q_p(T) + [h = 1] T**-2) (mod p**2).  That is a
-few modular operations per prime; scan_lambda applies it to every
-prime of the range, and lambda_criterion_jacobi stays as its oracle.
+few modular operations per prime; _gold_values applies it to every
+prime of a range, for scan_lambda and for the Euler and Glaisher tables
+of specialnums, and lambda_criterion_jacobi stays as its oracle.
 Cornacchia needs a square root of -d mod p.  On the scan's primes
 p = 1 (mod D) it is the quadratic Gauss sum over a primitive |disc|-th
 root of unity, one power and |disc| products, where that is cheaper
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .modmath import sieve_primes
 from .quadfields import (
@@ -281,29 +282,41 @@ def _gauss_root(field: QuadField, p: int) -> int:
     raise ArithmeticError(f"no Gauss sum mod {p} squares to {disc}")
 
 
-def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
-    """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
+def _gold_values(field: QuadField, bound: int) -> Iterator[tuple[int, int]]:
+    """(p, Gold's value u**(p-1) mod p**2) for each prime p = 1 (mod D) up to bound.
 
-    Gold's criterion decides each prime on its own (_gold_value).  A
-    sieved prime p = 1 (mod D) splits, and it exceeds D, which exceeds h,
-    so it never divides h: no prime needs a check.  Cornacchia starts
+    The primes come in increasing order from 3.  scan_lambda keeps the p
+    with value 1; specialnums.residues_from_xi reads E_{p-1} and G_{p-1}
+    mod p**2 off the values for d = 1 and d = 3.
+
+    A sieved prime p = 1 (mod D) splits, and it exceeds D, which exceeds
+    h, so it never divides h: no prime needs a check.  Cornacchia starts
     from the Gauss-sum root of -d (_gauss_root) where that costs less
     than the Tonelli-Shanks root, and from the Tonelli-Shanks root
     elsewhere.  With b the bit length of p and N = |disc|, the Gauss sum
     makes N/phi(N) tries on average, each one power of about b squarings
     and N products; the Tonelli-Shanks root measured at about 3.5 such
     powers.  So the Gauss sum takes every p > 32 for d = 1, 3, 7 and 11,
-    and no p below 2**49 for d = 5 or below 2**65 for d = 163.  A row
-    carries the value 1 and the method fermat_quotient for d = 1 and
-    d = 3, jacobi otherwise, as the CLI's frozen output has it.
+    and no p below 2**49 for d = 5 or below 2**65 for d = 163.
     """
-    method = "fermat_quotient" if field.d in (1, 3) else "jacobi"
     n = -field.discriminant
     tries = n / _totient(n)
-    rows = []
     for p in sieve_primes(3, bound, field.D):
         b = p.bit_length()
         root = _gauss_root(field, p) if tries * (b + n) <= 3.5 * b else None
-        if _gold_value(field, p, root) == 1:
-            rows.append(LambdaVerdict(field, p, method, 1))
-    return rows
+        yield p, _gold_value(field, p, root)
+
+
+def scan_lambda(field: QuadField, bound: int) -> list[LambdaVerdict]:
+    """All primes p = 1 (mod D) up to bound with lambda_p > 1, increasing.
+
+    Gold's criterion decides each prime on its own (_gold_values).  A
+    row carries the value 1 and the method fermat_quotient for d = 1 and
+    d = 3, jacobi otherwise, as the CLI's frozen output has it.
+    """
+    method = "fermat_quotient" if field.d in (1, 3) else "jacobi"
+    return [
+        LambdaVerdict(field, p, method, 1)
+        for p, value in _gold_values(field, bound)
+        if value == 1
+    ]

@@ -16,9 +16,10 @@ oracle that verify and the tests run; up to index p - 1 it works over
 tables of k! mod p**2, and past p it is the exact integer recurrence of
 euler_exact and glaisher_exact, reduced mod p**2 term by term.  The
 tables of every prime up to a bound (residues_from_xi, behind
-euler-check and glaisher-table) read them off the one batched xi pass of
-gaussfact.scan_exceptional, through E_{p-1} = 4p xi(p, 4) and
-G_{p-1} = 3p xi(p, 3) (mod p**2).
+euler-check and glaisher-table) read them off Gold's criterion for
+Q(i) and Q(sqrt(-3)), a few modular operations per prime
+(jacobi._gold_values): with v Gold's value u**(p-1) mod p**2,
+E_{p-1} = 2 (1 - v) and G_{p-1} = 1 - v (mod p**2).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .gaussfact import _xi_fq, scan_exceptional
-from .quadfields import QuadField, _check_prime
+from .gaussfact import _xi_fq
+from .jacobi import _gold_values
+from .quadfields import QuadField, _check_prime, make_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -215,17 +217,24 @@ def glaisher_criterion(p: int) -> bool:
 def residues_from_xi(m: int, bound: int) -> list[tuple[int, int]]:
     """(p, r) for every prime p = 1 (mod m) in [3, bound], increasing.
 
-    r is E_{p-1} mod p**2 for m = 4 and G_{p-1} mod p**2 for m = 3, as
-    m*p*xi(p, m) mod p**2: E_{p-1} = 4p xi(p, 4) and
-    G_{p-1} = 3p xi(p, 3) (mod p**2), so r = 0 exactly when xi = 0.
-    test_residues_from_xi_equal_recurrence pins this against euler_mod
-    and glaisher_mod for every p <= 3000.
+    r is E_{p-1} mod p**2 for m = 4 and G_{p-1} mod p**2 for m = 3, read
+    off Gold's value v = u**(p-1) mod p**2 for Q(i) (m = 4) and
+    Q(sqrt(-3)) (m = 3).  Write v = 1 + t p.  Then t = -2 xi(p, 4) for
+    Q(i) and t = -3 xi(p, 3) for Q(sqrt(-3)) (mod p), and
+    E_{p-1} = 4p xi(p, 4), G_{p-1} = 3p xi(p, 3) (mod p**2), so
+
+        E_{p-1} = 2 (1 - v),   G_{p-1} = 1 - v   (mod p**2),
+
+    and r = 0 exactly when xi(p, m) = 0.  Two tests pin this on values:
+    test_residues_from_xi_equal_recurrence against euler_mod and
+    glaisher_mod for every p <= 3000, and
+    test_residues_from_xi_equal_remainder_tree against m p xi of
+    gaussfact.scan_exceptional for every p <= 2*10**5.
     """
     if m not in (3, 4):
         raise ValueError("m must be 3 (Glaisher) or 4 (Euler)")
-    return [
-        (v.p, m * v.p * v.xi.value % (v.p * v.p)) for v in scan_exceptional(m, bound)
-    ]
+    field, c = (make_field(1), 2) if m == 4 else (make_field(3), 1)
+    return [(p, c * (1 - v) % (p * p)) for p, v in _gold_values(field, bound)]
 
 
 def bernoulli_criterion(p: int, field: QuadField) -> bool:

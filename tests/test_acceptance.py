@@ -20,7 +20,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from lambda_sieve.cli import main
-from lambda_sieve.gaussfact import scan_exceptional
+from lambda_sieve.gaussfact import exceptional_fq, scan_exceptional
 from lambda_sieve.modmath import sieve_primes
 from lambda_sieve.pell import pell_implies_nontrivial, pell_search
 from lambda_sieve.quadfields import (
@@ -99,7 +99,7 @@ def test_euler_numbers_vanish_only_at_29789(capsys):
     big = euler_criterion(29789)
     dt_big = time.perf_counter() - t0
     # every other p = 1 (mod 4) up to 3*10^4 must give a nonzero residue,
-    # the same residue as the xi pass behind euler-check
+    # the same residue as Gold's criterion for Q(i) behind euler-check
     t0 = time.perf_counter()
     from_xi = residues_from_xi(4, 3 * 10**4)
     assert [p for p, _ in from_xi] == list(sieve_primes(5, 3 * 10**4, 4))
@@ -118,6 +118,35 @@ def test_euler_numbers_vanish_only_at_29789(capsys):
     assert big
     assert stray == []
     assert dt_big < 900.0
+
+
+def _residue_zeros(m: int, bound: int) -> set[int]:
+    return {p for p, r in residues_from_xi(m, bound) if r == 0}
+
+
+def test_residues_vanish_at_the_scan_hits_to_1e6(capsys):
+    # E_{p-1} = 0 and G_{p-1} = 0 (mod p^2) exactly at the non-trivial primes
+    # of Q(i) and Q(sqrt(-3)): the scan-exceptional hits to 10^6
+    t0 = time.perf_counter()
+    euler, glaisher = _residue_zeros(4, 10**6), _residue_zeros(3, 10**6)
+    dt = time.perf_counter() - t0
+    ok = euler == M4_HITS and glaisher == M3_EXTENDED_HITS
+    _report(capsys, "residue-zeros-1e6", ok, dt, f"E={sorted(euler)} G={sorted(glaisher)}")
+    assert euler == M4_HITS
+    assert glaisher == M3_EXTENDED_HITS
+
+
+@pytest.mark.extended
+def test_residues_vanish_at_the_scan_hits_to_1e7(capsys):
+    t0 = time.perf_counter()
+    euler, glaisher = _residue_zeros(4, 10**7), _residue_zeros(3, 10**7)
+    dt = time.perf_counter() - t0
+    ok = euler == M4_HITS and glaisher == M3_EXTENDED_HITS | {6811741}
+    _report(capsys, "residue-zeros-1e7", ok, dt, f"E={sorted(euler)} G={sorted(glaisher)}")
+    assert euler == M4_HITS
+    assert glaisher == M3_EXTENDED_HITS | {6811741}
+    # the new zero, by the O(p) Fermat-quotient route
+    assert exceptional_fq(6811741, 3).verdict
 
 
 # ----------------------------------------------------------------------

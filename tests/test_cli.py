@@ -7,10 +7,12 @@ from importlib import resources
 import pytest
 
 import lambda_sieve.cli as cli_mod
+import lambda_sieve.gaussfact as gaussfact_mod
 import lambda_sieve.jacobi as jacobi_mod
 import lambda_sieve.pell as pell_mod
 from lambda_sieve.cli import _FIELDS, main
 from lambda_sieve.pell import PellRecord, pell_value
+from lambda_sieve.specialnums import euler_mod, glaisher_mod
 
 
 def run_cli(capsys, *argv):
@@ -426,6 +428,23 @@ class TestTables:
         ps = [int(line.split(",")[0]) for line in lines]
         assert ps == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
         assert all(line.split(",")[2] == "false" for line in lines)
+
+    def test_tables_run_no_remainder_tree(self, capsys, monkeypatch):
+        def tree(*args):
+            raise AssertionError("the remainder tree ran")
+
+        monkeypatch.setattr(gaussfact_mod, "_factorial_residues", tree)
+        for cmd, series in (("euler-check", euler_mod), ("glaisher-table", glaisher_mod)):
+            rc, out = run_cli(capsys, cmd, "--bound", "200", "--format", "csv")
+            assert rc == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert rows
+            for row in rows:
+                p, r2 = int(row[0]), int(row[-2])
+                assert r2 == int(series(p - 1, p * p)[p - 1]), (cmd, p)
+                if cmd == "glaisher-table":
+                    assert int(row[1]) == r2 % p, p
+                assert row[-1] == ("true" if r2 == 0 else "false"), (cmd, p)
 
     def test_class_numbers(self, capsys):
         rc, out = run_cli(capsys, "class-numbers", "--bound", "30", "--format", "csv")

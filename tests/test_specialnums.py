@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_sieve.gaussfact import exceptional_fq
+from lambda_sieve.gaussfact import exceptional_fq, scan_exceptional
 from lambda_sieve.modmath import sieve_primes
 from lambda_sieve.quadfields import make_field
 from lambda_sieve.specialnums import (
@@ -156,6 +156,13 @@ class TestCriteria:
             assert r == int(series(p - 1, p * p)[p - 1]), (m, p)
         with pytest.raises(ValueError):
             residues_from_xi(6, 100)
+
+    @pytest.mark.parametrize("m", [4, 3])
+    def test_residues_from_xi_equal_remainder_tree(self, m):
+        # Gold's value against m p xi of the batched tree, on every residue
+        bound = 2 * 10**5
+        tree = [(v.p, m * v.p * int(v.xi) % v.p**2) for v in scan_exceptional(m, bound)]
+        assert residues_from_xi(m, bound) == tree
 
     def test_residue_guards(self):
         with pytest.raises(ValueError):
