@@ -8,10 +8,10 @@ in [0, m).
 
 This is the only module of the package that imports numpy at module
 level, and nothing imports it at module level: the oracle functions of
-modmath, gaussfact, jacobi, quadfields, specialnums and verify import
-it (and numpy, where they index arrays themselves) when they run.  The
-scan, table, class-numbers and pell subcommands never call them, so a
-CLI run that is not verify does not load numpy.
+modmath, gaussfact, jacobi, quadfields and verify import it (and numpy,
+where they index arrays themselves) when they run.  The scan, table,
+class-numbers and pell subcommands never call them, so a CLI run that
+is not verify does not load numpy.
 """
 
 from __future__ import annotations

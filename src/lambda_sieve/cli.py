@@ -15,9 +15,9 @@ euler-check and glaisher-table read their rows off Gold's criterion
 for Q(i) and Q(sqrt(-3)), the per-prime loop of scan-lambda on d = 1
 and d = 3 (specialnums.residues_from_xi): with v Gold's value
 u**(p-1) mod p**2, E_{p-1} = 2 (1 - v) and G_{p-1} = 1 - v (mod p**2).
-The O(p**2) recurrence of specialnums and scan-exceptional's remainder
-tree are their oracles: the recurrence in verify and the tests, the
-tree in the tests.
+The power series of specialnums (euler_mod and glaisher_mod) and
+scan-exceptional's remainder tree are their oracles: the series in
+verify and the tests, the tree in the tests.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ process fan-out lives in pell, its one caller, so that no other
 subcommand loads the process-pool machinery.
 
 The import rule of the package: only _kernels imports numpy at module
-level.  Every other module imports _kernels, and numpy where it indexes
-arrays itself, inside the oracle functions that use them (here
-wilson_quotient and harmonic_mod), so the scans, tables, class-numbers
-and pell run on Python ints alone and never load numpy.
+level.  The oracle functions import _kernels, and numpy where they index
+arrays, when they run (here wilson_quotient and harmonic_mod; specialnums
+imports neither), so the scans, tables, class-numbers and pell run on
+Python ints alone and never load numpy.
 """
 
 from __future__ import annotations

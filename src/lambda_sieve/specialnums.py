@@ -10,11 +10,11 @@ is the value used by the recurrence here.  Some tables normalize
 G_0 = 1 instead; every identity in this module is stated and tested
 against the 1/2 normalization.
 
-E_{p-1} and G_{p-1} mod p**2 come from two routes.  The O(p**2)
-recurrence (euler_mod, glaisher_mod and the two criteria) is the series
-oracle that verify and the tests run; up to index p - 1 it works over
-tables of k! mod p**2, and past p it is the exact integer recurrence of
-euler_exact and glaisher_exact, reduced mod p**2 term by term.  The
+E_{p-1} and G_{p-1} mod p**2 come from two routes.  The series
+(euler_mod, glaisher_mod and the two criteria), the oracle of verify and
+the tests, inverts the generating function as a power series over
+Z/p**2 in Python ints up to index p - 1, and past p runs the exact
+recurrence of euler_exact and glaisher_exact, reduced mod p**2.  The
 tables of every prime up to a bound (residues_from_xi, behind
 euler-check and glaisher-table) read them off Gold's criterion for
 Q(i) and Q(sqrt(-3)), a few modular operations per prime
@@ -33,8 +33,6 @@ from .quadfields import QuadField, _check_prime, make_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    import numpy as np
 
 __all__ = [
     "bernoulli_exact",
@@ -140,60 +138,60 @@ def _modulus_prime(modulus: int) -> int:
     return p
 
 
-def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
-    """Shared engine for the Euler/Glaisher recurrences mod p**2.
-
-    Computes seq[n] for even n <= n_max where
-    seq[n] = mult * sum_{j>=1} C(n, 2j) seq[n-2j], seq[0] = g0.
-    Needs n_max < p for its factorial tables, so that every k! is a unit:
-    then each row is one vector multiply and one sum.  For n_max >= p it
-    returns _even_recurrence_exact reduced mod p**2, an O(n_max**2)
-    big-integer recurrence that no criterion or scan reaches.
-    """
-    # a row adds n_max // 2 residues below modulus in int64; for n_max = p - 1
-    # and modulus p**2 that is exact for every prime p <= 2642245
-    if (n_max // 2) * (modulus - 1) >= 1 << 63:
-        raise ValueError(f"n_max {n_max} mod {modulus} is past the int64 range")
-    import numpy as np
-
-    if n_max >= p:
-        seq = _even_recurrence_exact(n_max, g0 % modulus, mult, modulus)
-        return np.array(seq, dtype=np.int64)
-
-    from . import _kernels
-
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    out[0] = g0 % modulus
-    kmax = n_max // 2
-    arr = np.arange(n_max + 1, dtype=np.int64)
-    arr[0] = 1
-    fact = _kernels.cumprod_mod(arr, modulus)
-    inv_last = pow(int(fact[n_max]), -1, modulus)
-    rev = np.concatenate(
-        [np.int64([inv_last]), np.arange(n_max, 0, -1, dtype=np.int64)]
+def _mul_trunc(a: list[int], b: list[int], n: int, q: int) -> list[int]:
+    """The first n coefficients of a*b mod q, by Kronecker substitution:
+    each list packed into one int, a slot per coefficient, and one
+    multiply.  A slot sums at most n products below q**2, so (n q**2) bits,
+    rounded up to bytes, never carry into the next one."""
+    width = (n * q * q).bit_length() + 7 >> 3
+    pa, pb = (
+        int.from_bytes(b"".join(c.to_bytes(width, "little") for c in x[:n]), "little")
+        for x in (a, b)
     )
-    invfact = _kernels.cumprod_mod(rev, modulus)[::-1].copy()
-    # invfact[i] = (i!)**-1: entry n_max came first in rev order
-    ie = invfact[2::2]  # ie[j-1] = 1/(2j)!
-    w = np.zeros(kmax + 1, dtype=np.int64)  # w[i] = seq[2i]/(2i)!
-    w[0] = g0 % modulus
-    for k in range(1, kmax + 1):
-        terms = _kernels.mulmod(ie[:k], w[k - 1 :: -1], modulus)
-        s = int(terms.sum() % modulus)
-        val = mult * int(fact[2 * k]) % modulus * s % modulus
-        out[2 * k] = val
-        w[k] = int(_kernels.mulmod(invfact[2 * k], val, modulus))
+    raw = (pa * pb & ((1 << 8 * width * n) - 1)).to_bytes(width * n, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") % q for i in range(0, len(raw), width)
+    ]
+
+
+def _even_recurrence_mod(n_max: int, modulus: int, p: int, g0: int, mult: int):
+    """seq[0..n_max] mod p**2, seq[0] = g0 and, for even n >= 2,
+    seq[n] = mult * sum_{j>=1} C(n, 2j) seq[n-2j].  For n_max < p it is
+    sum_k seq[2k] y**k / (2k)! = g0 / c over Z/p**2, y = x**2 and
+    c = 1 - mult sum_{j>=1} y**j / (2j)!, and Newton's w <- w (2 - c w)
+    doubles the precision of 1/c each step (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 9).  For n_max >= p, where k! stops
+    being a unit, it is _even_recurrence_exact reduced mod p**2."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max >= p:
+        return _even_recurrence_exact(n_max, g0 % modulus, mult, modulus)
+    fact = [1] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        fact[k] = fact[k - 1] * k % modulus
+    invfact = [pow(fact[n_max], -1, modulus)] * (n_max + 1)
+    for k in range(n_max, 0, -1):
+        invfact[k - 1] = invfact[k] * k % modulus
+    c = [1] + [-mult * f % modulus for f in invfact[2::2]]
+    w = [1]  # 1/c mod y**m, m = len(w)
+    while len(w) < len(c):
+        m, n = len(w), min(2 * len(w), len(c))
+        # c w = 1 + y**m h (mod y**n), so w (2 - c w) = w - y**m w h
+        h = _mul_trunc(c, w, n, modulus)[m:]
+        w += [-x % modulus for x in _mul_trunc(w, h, n - m, modulus)]
+    out = [0] * (n_max + 1)
+    out[::2] = [g0 * x * f % modulus for x, f in zip(w, fact[::2])]
     return out
 
 
-def euler_mod(n_max: int, modulus: int) -> np.ndarray:
-    """E_0..E_n mod p**2 as an int64 array, all-integer arithmetic throughout."""
+def euler_mod(n_max: int, modulus: int) -> list[int]:
+    """E_0..E_n mod p**2 as a list of ints, all-integer arithmetic throughout."""
     p = _modulus_prime(modulus)
     return _even_recurrence_mod(n_max, modulus, p, 1, modulus - 1)
 
 
-def glaisher_mod(n_max: int, modulus: int) -> np.ndarray:
-    """G_0..G_n mod p**2 as an int64 array, for p > 3 (2 and 3 invertible)."""
+def glaisher_mod(n_max: int, modulus: int) -> list[int]:
+    """G_0..G_n mod p**2 as a list of ints, for p > 3 (2 and 3 invertible)."""
     p = _modulus_prime(modulus)
     if p == 3:
         raise ValueError("p must exceed 3 for Glaisher numbers")
@@ -205,13 +203,13 @@ def glaisher_mod(n_max: int, modulus: int) -> np.ndarray:
 def euler_criterion(p: int) -> bool:
     """True iff E_{p-1} = 0 (mod p**2).  Requires a prime p = 1 (mod 4)."""
     _check_prime(p, 4)
-    return int(euler_mod(p - 1, p * p)[p - 1]) == 0
+    return euler_mod(p - 1, p * p)[p - 1] == 0
 
 
 def glaisher_criterion(p: int) -> bool:
     """True iff G_{p-1} = 0 (mod p**2).  Requires a prime p = 1 (mod 3)."""
     _check_prime(p, 3)
-    return int(glaisher_mod(p - 1, p * p)[p - 1]) == 0
+    return glaisher_mod(p - 1, p * p)[p - 1] == 0
 
 
 def residues_from_xi(m: int, bound: int) -> list[tuple[int, int]]:

@@ -278,6 +278,18 @@ def test_all_detection_routes_agree(capsys):
     assert dt < 300.0
 
 
+@pytest.mark.extended
+def test_all_detection_routes_agree_to_2e4(capsys):
+    # past verify's bound of 2000: 19531, the first hit for d = 7, joins
+    t0 = time.perf_counter()
+    ok, detail = lambda_routes_agree_to(2 * 10**4)
+    dt = time.perf_counter() - t0
+    want = "all routes agree to 20000; hits {3: [13, 181, 2521], 5: [5881], 7: [19531]}"
+    ok = ok and detail == want
+    _report(capsys, "route-agreement-2e4", ok, dt, detail)
+    assert ok, detail
+
+
 def test_invariant_battery_green(capsys):
     t0 = time.perf_counter()
     results = run_checks()

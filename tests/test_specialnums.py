@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,16 +122,40 @@ class TestModularSequences:
         for n, v in enumerate(sympy_glaisher(20)):
             assert int(seq[n]) == v.numerator * pow(v.denominator, -1, modulus) % modulus, n
 
-    def test_int64_range_enforced(self):
+    def test_values_past_the_int64_range(self):
         modulus = (10**9 + 7) ** 2
-        # 9 terms below modulus still sum exactly in int64
         seq = euler_mod(18, modulus)
         exact = euler_exact(18)
         for n in range(0, 19, 2):
             assert int(seq[n]) == exact[n] % modulus
-        # the row sums of n = 30..40 would wrap: refused, not wrong
-        with pytest.raises(ValueError):
-            euler_mod(40, modulus)
+        # Python ints have no int64 row sum to wrap: n = 40 is exact too,
+        # for p = 10**9 + 7 and for the Mersenne prime 2**61 - 1
+        exact = euler_exact(40)
+        for p in (10**9 + 7, 2**61 - 1):
+            assert euler_mod(40, p * p) == [e % (p * p) for e in exact], p
+
+    def test_negative_n_max_refused(self):
+        for series, n in ((euler_mod, -1), (glaisher_mod, -2)):
+            with pytest.raises(ValueError, match="n_max must be nonnegative"):
+                series(n, 49)
+
+    def test_runs_without_numpy(self):
+        script = """
+import sys
+sys.modules["numpy"] = None
+from lambda_sieve.specialnums import (
+    euler_criterion, euler_exact, euler_mod, glaisher_criterion, glaisher_mod,
+)
+assert euler_mod(40, 101**2) == [e % 101**2 for e in euler_exact(40)]
+assert glaisher_mod(12, 49)[:7:2] == [25, 16, 1, 42]
+assert not euler_criterion(101)
+assert glaisher_criterion(181)
+assert "lambda_sieve._kernels" not in sys.modules
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_modulus_must_be_prime_square(self):
         with pytest.raises(ValueError):
