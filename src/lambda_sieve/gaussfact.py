@@ -199,7 +199,12 @@ def _ratio_factor(
     return half * pow(full * full, -1, p2) % p2
 
 
-def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
+def exceptional_general(
+    p: int,
+    field: QuadField,
+    r: int = 1,
+    table: tuple[list[int], list[int]] | None = None,
+) -> bool:
     """Full double-product criterion for arbitrary imaginary quadratic fields.
 
     Multiplies the i-th ratio factor to the power chi(i) = +-1 over the
@@ -207,12 +212,15 @@ def exceptional_general(p: int, field: QuadField, r: int = 1) -> bool:
     (p-1)-st power; the verdict is whether the result is 1 mod p**2.
     On a maximal field every such unit has chi(i) = +1, so the product
     is of plain ratio factors.  Every factor is read off one
-    _factorial_table(p), so the cost is O(p) at every order r.
+    _factorial_table(p), so the cost is O(p) at every order r; a caller
+    that checks several fields at one p passes that table in, since it
+    does not depend on the field.
     Preconditions are those of quadfields._applicability at order r.
     """
     _applicability(field, p, r)
     D = field.D  # even and at least 4 for every field make_field builds
-    table = _factorial_table(p)
+    if table is None:
+        table = _factorial_table(p)
     p2 = p * p
     acc = 1
     for i in range(1, D // 2):

@@ -236,12 +236,15 @@ def _strong_lucas(n) -> bool:
     m = k >> s
     # Lucas sequences U_m, V_m by binary ladder on (U, V, Q^j)
     u, v, qk = 0, 2, 1
-    inv2 = (n + 1) // 2
     for bit in bin(m)[2:]:
         u, v = u * v % n, (v * v - 2 * qk) % n
         qk = qk * qk % n
         if bit == "1":
-            u, v = (u + v) * inv2 % n, (v + d * u) * inv2 % n
+            # halve mod the odd n: add n to an odd value, then shift
+            u, v = u + v, v + d * u
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            u, v = u % n, v % n
             qk = qk * q % n
     if u == 0 or v == 0:
         return True

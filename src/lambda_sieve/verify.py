@@ -489,29 +489,35 @@ def jacobi_equals_minus_ratio() -> tuple[bool, str]:
 
 
 def lambda_routes_agree_to(bound: int) -> tuple[bool, str]:
-    """Route agreement over all check-capable fields, split p <= bound."""
-    from .gaussfact import exceptional_general
+    """Route agreement over all check-capable fields, split p <= bound.
 
-    hits = {}
-    for d in sorted(set(STANDARD_FIELDS) | set(H_ONE_FIELDS)):
-        field = make_field(d)
-        hits[d] = []
-        for p in sieve_primes(3, bound):
+    The ratio route's _factorial_table(p) does not depend on the field,
+    so it is built once per p, at the first field that applies.
+    """
+    from .gaussfact import _factorial_table, exceptional_general
+
+    fields = [make_field(d) for d in sorted(set(STANDARD_FIELDS) | set(H_ONE_FIELDS))]
+    hits: dict[int, list[int]] = {field.d: [] for field in fields}
+    for p in sieve_primes(3, bound):
+        table = None
+        for field in fields:
             try:
                 v = lambda_criterion_jacobi(field, p)
             except CriterionInapplicable:
                 continue
+            if table is None:
+                table = _factorial_table(p)
             verdicts = {"jacobi": v.verdict, "unit": cornacchia_gold(field, p).verdict}
-            verdicts["ratio"] = exceptional_general(p, field)
-            if d in (1, 3):
+            verdicts["ratio"] = exceptional_general(p, field, table=table)
+            if field.d in (1, 3):
                 verdicts["series"] = (
-                    euler_criterion(p) if d == 1 else glaisher_criterion(p)
+                    euler_criterion(p) if field.d == 1 else glaisher_criterion(p)
                 )
                 verdicts["poly"] = bernoulli_criterion(p, field)
             if len(set(verdicts.values())) != 1:
-                return False, f"d={d}, p={p}: {verdicts}"
+                return False, f"d={field.d}, p={p}: {verdicts}"
             if v.verdict:
-                hits[d].append(p)
+                hits[field.d].append(p)
     found = {d: v for d, v in hits.items() if v}
     return True, f"all routes agree to {bound}; hits {found}"
 

@@ -173,6 +173,17 @@ class TestProbablePrime:
         assert not _strong_lucas(n)
         assert not is_probable_prime(n)
 
+    def test_strong_lucas_matches_sympy(self):
+        # sympy picks D past a D with |D| = n (so it differs at n = 5 and
+        # 11), where _strong_lucas returns False; is_probable_prime divides
+        # out every prime up to 37 first, so Lucas never sees those n
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        for n in range(39, 2 * 10**5 + 1, 2):
+            assert _strong_lucas(n) == is_strong_lucas_prp(n), n
+        for n in (5459, 5777, 10877, 16109, 18971):
+            assert _strong_lucas(n) and is_strong_lucas_prp(n), n
+
     def test_large_known(self):
         assert is_probable_prime(2**61 - 1)
         assert is_probable_prime(2**89 - 1)

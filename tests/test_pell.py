@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 import multiprocessing
+from collections import Counter
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from lambda_sieve.gaussfact import exceptional_fq, scan_exceptional
 from lambda_sieve.jacobi import cornacchia_gold
 from lambda_sieve.modmath import is_probable_prime
 from lambda_sieve.pell import (
+    _TRIAL_BITS_FACTOR,
     TRIAL_DIVISION_BOUND,
     PellRecord,
     _classify,
@@ -84,35 +88,58 @@ def classified(monkeypatch):
     return seen
 
 
-def least_prime_divisor(n, primes):
-    """The all-primes search that trial division by r = +-1 (mod 4q) replaces."""
-    return next((r for r in primes if n % r == 0), None)
+def least_divisor_plus_minus_one(n, q, bound):
+    """The plain search that _small_factor replaces: every r = +-1 (mod 4q)
+    below bound in increasing order, with no mod-3 filter and no sieve."""
+    step = 4 * q
+    for m in range(step, bound + 1, step):
+        for r in (m - 1, m + 1):
+            if r < bound and n % r == 0:
+                return r
+    return None
 
 
 class TestTrialDivision:
-    def test_tables_are_the_primes_plus_minus_one_mod_4q(self):
-        primes = primes_upto(TRIAL_DIVISION_BOUND - 1)
-        for q in odd_primes_upto(1500):
-            res = primes % (4 * q)
-            want = primes[(res == 1) | (res == 4 * q - 1)].tolist()
-            assert _trial_tables(q) == want, q
+    def test_tables_hold_the_primes_of_the_divisor_classes(self):
+        primes = primes_upto(10**7)
+        small = primes[primes < 200].tolist()
+        runs = [(TRIAL_DIVISION_BOUND, odd_primes_upto(1500)), (10**7, [3, 5, 23, 1499])]
+        for bound, qs in runs:
+            below = primes[primes < bound]
+            for q in qs:
+                table = _trial_tables(q, bound)
+                assert all(a < b for a, b in zip(table, table[1:])), q
+                # nothing outside the classes, and nothing with a prime
+                # factor below 200 but that prime itself
+                got = np.array(table)
+                res = got % (4 * q)
+                assert (got > 1).all() and (got < bound).all(), q
+                assert ((got % 3 == 1) & ((res == 1) | (res == 4 * q - 1))).all(), q
+                for r in small:
+                    assert not ((got % r == 0) & (got != r)).any(), (q, r)
+                # every prime of the classes below the bound
+                res = below % (4 * q)
+                want = below[(below % 3 == 1) & ((res == 1) | (res == 4 * q - 1))]
+                assert np.isin(want, got).all(), q
 
     @pytest.mark.parametrize(
-        "q_bound, found", [(300, 32), pytest.param(1500, 93, marks=pytest.mark.extended)]
+        "q_bound, found", [(300, 32), pytest.param(1500, 123, marks=pytest.mark.extended)]
     )
     def test_small_factor_equals_all_primes_search(self, q_bound, found):
-        primes = primes_upto(TRIAL_DIVISION_BOUND).tolist()
         hits = 0
         for q in odd_primes_upto(q_bound):
             n = pell_value(q)
-            want = least_prime_divisor(n, primes)
+            bound = max(TRIAL_DIVISION_BOUND, _TRIAL_BITS_FACTOR * n.bit_length() ** 2)
+            want = least_divisor_plus_minus_one(n, q, bound)
             assert _small_factor(n, q) == want, q
             hits += want is not None
         # q = 23: 277 and 3037 both divide, so the order of the tries shows
         assert hits == found and _small_factor(pell_value(23), 23) == 277
 
     def test_prime_divisors_are_plus_minus_one_mod_4q(self):
-        # the Lucas-structure fact the tables rest on, checked directly
+        # the Lucas-structure fact the tables rest on, checked directly:
+        # r = +-1 (mod 4q) by the law of apparition, r = 1 (mod 3) by
+        # quadratic reciprocity
         primes = primes_upto(10**5).tolist()
         divisors = 0
         for q in odd_primes_upto(400):
@@ -120,6 +147,7 @@ class TestTrialDivision:
             for r in primes:
                 if n % r == 0:
                     assert r % (4 * q) in (1, 4 * q - 1), (q, r)
+                    assert r % 3 == 1, (q, r)
                     divisors += 1
         assert divisors == 35
 
@@ -143,6 +171,22 @@ class TestSearch:
 
     def test_worker_independence(self):
         assert pell_search(200, workers=2) == pell_search(200)
+
+    def test_statuses_to_600_are_pinned(self, tmp_path):
+        # the status of every candidate, composites included, as the
+        # checkpoint holds them; the digest is that of trial division below
+        # 10**6 over all primes r = +-1 (mod 4q), so no verdict moved when
+        # the bound began to grow with the candidate
+        cp = tmp_path / "state.json"
+        pell_search(600, checkpoint=str(cp))
+        records = json.loads(cp.read_text())["records"]
+        assert Counter(r["status"] for r in records) == {
+            "composite": 95,
+            "prime_proven_small": 7,
+            "probable_prime": 6,
+        }
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "c124e9df339759e6e6a99241b128a02ef4a0fb4807cc3dd00605c24716b9cf0a"
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
