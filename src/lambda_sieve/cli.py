@@ -4,12 +4,20 @@ Subcommands map one-to-one onto library entry points and share the
 output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
 not start a week-long scan.  An --out or --checkpoint path in a missing
-directory, or a --checkpoint file that is not a JSON object or lacks a
-field of its kind, is a usage error before any work starts.  Every
-subcommand accepts --workers, but only pell starts processes; output is
-byte-identical for a given command and format regardless of it.  pell
-and verify are imported by their subcommands, so no other subcommand
-loads the process pool or the invariant battery.
+or unwritable directory, an existing file that cannot be written, a
+file name longer than the directory allows, or a --checkpoint file that
+is not a JSON object or lacks a field of its kind, is a usage error
+before any work starts.  Every subcommand accepts --workers, but only
+pell starts processes; output is byte-identical for a given command and
+format regardless of it.  pell and verify are imported by their
+subcommands, so no other subcommand loads the process pool or the
+invariant battery.
+
+Each subcommand hands _emit an iterable of row tuples in _FIELDS order.
+csv and text write the rows as they arrive, 1024 lines a write, so an
+interrupted euler-check or glaisher-table, whose rows come lazily,
+leaves the rows written so far; json holds its rows as its envelope's
+list.
 
 euler-check and glaisher-table read their rows off Gold's criterion
 for Q(i) and Q(sqrt(-3)), the per-prime loop of scan-lambda on d = 1
@@ -24,15 +32,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
+from itertools import chain, islice
 
 from .gaussfact import scan_exceptional
 from .jacobi import scan_lambda
 from .modmath import CheckpointError
 from .quadfields import make_field, squarefree_values
-from .specialnums import residues_from_xi
+from .specialnums import _residues
 
 SCHEMA_TAG = "lambda-sieve/v1"
 DEFAULT_MAX_BOUND = 10**7
@@ -73,8 +81,9 @@ def _int_at_least(low: int):
 
 
 def _check_paths(parser: argparse.ArgumentParser, args) -> None:
-    """Usage error, before any work, for an --out or --checkpoint path
-    that cannot be written."""
+    """Usage error, before any work, for an unwritable --out or --checkpoint
+    path.  An existing --out file is opened in place; a new one, and every
+    checkpoint (replaced by a temporary file beside it), needs its directory."""
     checkpoint = getattr(args, "checkpoint", None)
     for flag, path in (("--out", args.out), ("--checkpoint", checkpoint)):
         if not path:
@@ -84,42 +93,59 @@ def _check_paths(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"{flag} {path}: no such directory {folder}")
         if os.path.isdir(path):
             parser.error(f"{flag} {path} is a directory")
+        if flag == "--out" and os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                parser.error(f"{flag} {path} is not writable")
+        elif not os.access(folder, os.W_OK):
+            parser.error(f"{flag} {path}: directory {folder} is not writable")
+        limit = os.pathconf(folder, "PC_NAME_MAX")
+        if len(os.fsencode(os.path.basename(path))) > limit:
+            parser.error(f"{flag} {path}: file name longer than {limit} bytes")
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_out(args, chunks) -> None:
+    """Write the strings of chunks to the --out file (LF and UTF-8 on every
+    platform) or to stdout, which stays open, joined in batches so that an
+    unbuffered stdout (python -u) makes a system call per batch, not per row."""
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    chunks = iter(chunks)
+    try:
+        while batch := list(islice(chunks, 1024)):
+            out.write("".join(batch))
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
-def _emit(args, command: str, params: dict, rows: list[dict]) -> None:
+class _Echo:
+    """A file whose write returns its text, so writerow returns the row."""
+
+    write = str
+
+
+def _emit(args, command: str, params: dict, rows) -> None:
+    """Write rows, tuples in _FIELDS[command] order, to --out or stdout."""
     fields = _FIELDS[command]
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(fields)
-        for row in rows:
-            w.writerow([_csv_cell(row[f]) for f in fields])
-        text = buf.getvalue()
+        w = csv.writer(_Echo, lineterminator="\n")
+        chunks = map(w.writerow, chain([fields], (map(_csv_cell, r) for r in rows)))
     elif args.format == "json":
         import json
 
-        doc = {
-            "schema": SCHEMA_TAG,
-            "command": command,
-            "params": params,
-            "rows": [{f: row[f] for f in fields} for row in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        rows = [dict(zip(fields, row)) for row in rows]
+        doc = {"schema": SCHEMA_TAG, "command": command, "params": params, "rows": rows}
+        # the chunks json.dump(doc, out, indent=2) would write
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
     else:
-        lines = []
-        for row in rows:
-            lines.append("  ".join(f"{f}={row[f]}" for f in fields))
-        lines.append(f"{len(rows)} rows")
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
+        chunks = _text_lines(fields, rows)
+    _write_out(args, chunks)
+
+
+def _text_lines(fields, rows):
+    n = 0
+    for n, row in enumerate(rows, 1):
+        yield "  ".join(f"{f}={v}" for f, v in zip(fields, row)) + "\n"
+    yield f"{n} rows\n"
 
 
 def _csv_cell(v):
@@ -131,11 +157,7 @@ def _csv_cell(v):
 def cmd_scan_exceptional(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
     verdicts = scan_exceptional(args.m, args.bound, checkpoint=args.checkpoint)
-    if not args.all:
-        verdicts = [v for v in verdicts if v.verdict]
-    rows = [
-        {"p": v.p, "m": v.m, "xi": int(v.xi), "verdict": v.verdict} for v in verdicts
-    ]
+    rows = ((v.p, v.m, int(v.xi), v.verdict) for v in verdicts if args.all or v.verdict)
     params = {"m": args.m, "bound": args.bound, "all": args.all}
     _emit(args, "scan-exceptional", params, rows)
     return 0
@@ -149,10 +171,7 @@ def cmd_scan_lambda(args, parser) -> int:
         parser.error(f"--d {args.d}: {exc}")
     hits = scan_lambda(field, args.bound)
     # a decimal string, as pell's p and x: schema.json types value as a string
-    rows = [
-        {"d": args.d, "p": v.p, "method": v.method, "value": str(int(v.criterion_value))}
-        for v in hits
-    ]
+    rows = ((args.d, v.p, v.method, str(v.criterion_value)) for v in hits)
     _emit(args, "scan-lambda", {"d": args.d, "bound": args.bound}, rows)
     return 0
 
@@ -162,54 +181,32 @@ def cmd_pell(args, parser) -> int:
 
     _check_bound(parser, args.q_bound, "--q-bound")
     recs = pell_search(args.q_bound, workers=args.workers, checkpoint=args.checkpoint)
-    rows = [
-        {
-            "q": r.q,
-            "digits": r.digits,
-            "status": r.status,
-            "p": _int_to_str(r.p_candidate),
-            "x": _int_to_str(r.x),
-        }
+    rows = (
+        (r.q, r.digits, r.status, _int_to_str(r.p_candidate), _int_to_str(r.x))
         for r in recs
-    ]
+    )
     _emit(args, "pell", {"q_bound": args.q_bound}, rows)
     return 0
 
 
 def cmd_glaisher_table(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    rows = [
-        {"p": p, "residue_p": r2 % p, "residue_p2": r2, "verdict": r2 == 0}
-        for p, r2 in residues_from_xi(3, args.bound)
-    ]
+    rows = ((p, r2 % p, r2, r2 == 0) for p, r2 in _residues(3, args.bound))
     _emit(args, "glaisher-table", {"bound": args.bound}, rows)
     return 0
 
 
 def cmd_euler_check(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    rows = [
-        {"p": p, "residue_p2": r2, "verdict": r2 == 0}
-        for p, r2 in residues_from_xi(4, args.bound)
-    ]
+    rows = ((p, r2, r2 == 0) for p, r2 in _residues(4, args.bound))
     _emit(args, "euler-check", {"bound": args.bound}, rows)
     return 0
 
 
 def cmd_class_numbers(args, parser) -> int:
     _check_bound(parser, args.bound, "--bound")
-    rows = []
-    for d in squarefree_values(args.bound):
-        f = make_field(d)
-        rows.append(
-            {
-                "d": d,
-                "D": f.D,
-                "discriminant": f.discriminant,
-                "h": f.h,
-                "maximal": f.maximal,
-            }
-        )
+    # a QuadField is the tuple (d, D, discriminant, h, maximal)
+    rows = map(make_field, squarefree_values(args.bound))
     _emit(args, "class-numbers", {"bound": args.bound}, rows)
     return 0
 
@@ -220,7 +217,7 @@ def cmd_verify(args, parser) -> int:
     results = run_checks(only=args.only)
     if not results:
         parser.error(f"no checks match {args.only!r}")
-    _write(args, "\n".join(report_lines(results)) + "\n")
+    _write_out(args, (line + "\n" for line in report_lines(results)))
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from typing import Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .modmath import (
     Residue,
@@ -66,17 +67,15 @@ __all__ = [
 _CHUNK = 1 << 20
 
 
-class ExceptionalVerdict(NamedTuple):
-    """Outcome of one exceptionality test.
+class ExceptionalVerdict(namedtuple("ExceptionalVerdict", "p m alpha xi")):
+    """Outcome of one exceptionality test: ints p, m and alpha, and the
+    Residue xi.
 
     xi lives mod p**alpha and is the power in
     product**(p-1) = (1 + p)**xi; verdict is read off it: xi = 0.
     """
 
-    p: int
-    m: int
-    alpha: int
-    xi: Residue
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:

@@ -28,8 +28,9 @@ than Tonelli-Shanks (small |disc|); other primes take Tonelli-Shanks.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .modmath import sieve_primes
 from .quadfields import (
@@ -42,9 +43,6 @@ from .quadfields import (
     kronecker,
     splits,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CriterionInapplicable",
@@ -60,17 +58,15 @@ __all__ = [
 _PSI_SIGN = 1
 
 
-class LambdaVerdict(NamedTuple):
+class LambdaVerdict(namedtuple("LambdaVerdict", "field p method criterion_value")):
     """Outcome of one lambda test: verdict true means lambda_p > 1.
 
-    criterion_value is the (p-1)-st power of the criterion unit mod
-    p**2, an int in [0, p**2); verdict is read off it: criterion_value = 1.
+    field is the QuadField, p an int and method a str.  criterion_value
+    is the (p-1)-st power of the criterion unit mod p**2, an int in
+    [0, p**2); verdict is read off it: criterion_value = 1.
     """
 
-    field: QuadField
-    p: int
-    method: str
-    criterion_value: int
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:

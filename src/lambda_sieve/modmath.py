@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from itertools import compress
-from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
     "Residue",
@@ -36,12 +37,7 @@ __all__ = [
 ]
 
 
-class _ResidueFields(NamedTuple):
-    value: int
-    modulus: int
-
-
-class Residue(_ResidueFields):
+class Residue(namedtuple("Residue", "value modulus")):
     """A verdict's xi: an int canonical in [0, modulus)."""
 
     __slots__ = ()
@@ -53,7 +49,7 @@ class Residue(_ResidueFields):
 
     @classmethod
     def _make(cls, iterable) -> Residue:
-        # NamedTuple's _make, and _replace through it, would skip __new__
+        # namedtuple's _make, and _replace through it, would skip __new__
         return cls(*iterable)
 
     def __int__(self) -> int:
@@ -306,7 +302,9 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be resumed from; the message names it."""
 
 
-def _read_checkpoint(path: str, header: dict, decode: Callable[[dict], Any]) -> Any:
+def _read_checkpoint(
+    path: str, header: dict, decode: Callable[[dict], object]
+) -> object:
     """decode(payload) of the JSON object at path; None unless its header matches.
 
     decode reads the whole payload up front.  A file at path that is not

@@ -38,8 +38,9 @@ import decimal
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, compress, islice
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .modmath import (
     MR_DETERMINISTIC_BOUND,
@@ -65,14 +66,13 @@ _CHECKPOINT_EVERY = 100
 _STATUSES = ("prime_proven_small", "probable_prime", "composite")
 
 
-class PellRecord(NamedTuple):
-    """One candidate: p_candidate = u_q / 4 (kept as int, may be huge)."""
+class PellRecord(namedtuple("PellRecord", "q p_candidate digits status x")):
+    """One candidate: p_candidate = u_q / 4 (kept as int, may be huge).
 
-    q: int
-    p_candidate: int
-    digits: int
-    status: str  # one of _STATUSES
-    x: int
+    q, digits and x are ints; status is one of _STATUSES.
+    """
+
+    __slots__ = ()
 
 
 def pell_value(q: int) -> int:

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from collections import namedtuple
 from itertools import compress
-from typing import TYPE_CHECKING, NamedTuple
 
 from .modmath import _factorize, is_probable_prime, kronecker
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CriterionInapplicable",
@@ -53,14 +50,11 @@ def _totient(n: int) -> int:
     return out
 
 
-class QuadField(NamedTuple):
-    """Invariants of the field generated by sqrt(-d)."""
+class QuadField(namedtuple("QuadField", "d D discriminant h maximal")):
+    """Invariants of the field generated by sqrt(-d): ints d, D,
+    discriminant and h, and the bool maximal."""
 
-    d: int
-    D: int
-    discriminant: int
-    h: int
-    maximal: bool
+    __slots__ = ()
 
 
 def make_field(d: int) -> QuadField:

@@ -25,14 +25,11 @@ E_{p-1} = 2 (1 - v) and G_{p-1} = 1 - v (mod p**2).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from collections.abc import Iterator
 
 from .gaussfact import _xi_fq
 from .jacobi import _gold_values
 from .quadfields import QuadField, _check_prime, make_field
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "bernoulli_exact",
@@ -229,10 +226,15 @@ def residues_from_xi(m: int, bound: int) -> list[tuple[int, int]]:
     test_residues_from_xi_equal_remainder_tree against m p xi of
     gaussfact.scan_exceptional for every p <= 2*10**5.
     """
+    return list(_residues(m, bound))
+
+
+def _residues(m: int, bound: int) -> Iterator[tuple[int, int]]:
+    """residues_from_xi's pairs as they come; m is checked on the call."""
     if m not in (3, 4):
         raise ValueError("m must be 3 (Glaisher) or 4 (Euler)")
     field, c = (make_field(1), 2) if m == 4 else (make_field(3), 1)
-    return [(p, c * (1 - v) % (p * p)) for p, v in _gold_values(field, bound)]
+    return ((p, c * (1 - v) % (p * p)) for p, v in _gold_values(field, bound))
 
 
 def bernoulli_criterion(p: int, field: QuadField) -> bool:

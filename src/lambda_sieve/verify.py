@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .gaussfact import (
     cut_point_congruence_check,
@@ -67,12 +68,11 @@ H_ONE_FIELDS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 STANDARD_FIELDS = (1, 2, 3, 5, 6)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    group: str
-    ok: bool
-    detail: str
-    elapsed: float
+class CheckResult(namedtuple("CheckResult", "name group ok detail elapsed")):
+    """One check's outcome: strs name, group and detail, the bool ok and
+    elapsed seconds."""
+
+    __slots__ = ()
 
 
 _REGISTRY: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []

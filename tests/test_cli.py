@@ -1,7 +1,9 @@
 import decimal
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -192,7 +194,11 @@ SEARCHES = [
 class TestPathChecks:
     @pytest.mark.parametrize(
         "target, message",
-        [("missing/f.json", "no such directory"), ("", "is a directory")],
+        [
+            ("missing/f.json", "no such directory"),
+            ("", "is a directory"),
+            pytest.param("x" * 300, "file name longer than", id="long-name"),
+        ],
     )
     @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
     @pytest.mark.parametrize("argv", SEARCHES)
@@ -207,6 +213,53 @@ class TestPathChecks:
         assert exc.value.code == 2 and ran == []
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and message in err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_permission_denied_stops_before_work(
+        self, capsys, monkeypatch, tmp_path, argv, flag, existing
+    ):
+        # os.access grants root everything, so the refusal is simulated: of an
+        # existing --out file itself, else of the directory (a checkpoint is
+        # replaced through a temporary file beside it)
+        target = tmp_path / "f.json"
+        if existing:
+            target.write_text("kept\n")
+        refused = str(target) if existing and flag == "--out" else str(tmp_path)
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: path != refused)
+        ran = []
+        for mod, name in ((cli_mod, "scan_exceptional"), (pell_mod, "pell_search")):
+            monkeypatch.setattr(mod, name, lambda *a, **k: ran.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(target)])
+        assert exc.value.code == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "is not writable" in err
+
+    def test_existing_out_file_needs_only_its_own_permission(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # an existing --out file (/dev/null, or one made beforehand in a
+        # directory the user cannot write) is opened in place
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: path != str(tmp_path))
+        argv = ["euler-check", "--bound", "200", "--format", "csv"]
+        rc, out = run_cli(capsys, *argv)
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_text() == out
+
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_read_only_checkpoint_resumes(self, capsys, monkeypatch, tmp_path, argv):
+        # only the checkpoint's directory needs write permission
+        cp = tmp_path / "s.json"
+        argv = [*argv, "--format", "csv", "--checkpoint", str(cp)]
+        rc1, out1 = run_cli(capsys, *argv)
+        assert rc1 == 0 and cp.exists()
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: path != str(cp))
+        rc2, out2 = run_cli(capsys, *argv)
+        assert rc2 == 0 and out2 == out1
 
     @pytest.mark.parametrize("text", ["hello\n", "[1, 2]\n"])
     @pytest.mark.parametrize("argv", SEARCHES)
@@ -381,23 +434,37 @@ assert not loaded, loaded
     assert proc.stdout.count(" rows\n") == 8
 
 
-def test_cli_startup_leaves_checkpoint_io_unloaded():
-    # tempfile is imported by the checkpoint writer alone.  Run without the
-    # site module, which may import tempfile itself before any test code
+def _run_without_site(script):
+    # without the site module, which may import modules itself before any
+    # test code runs
     src = str(resources.files("lambda_sieve").parent)
-    script = f"""
-import sys
-sys.path.insert(0, {src!r})
+    script = f"import sys\nsys.path.insert(0, {src!r})\n{script}"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_startup_leaves_checkpoint_io_unloaded():
+    # tempfile is imported by the checkpoint writer alone
+    _run_without_site("""
 from lambda_sieve.cli import build_parser, main
 build_parser()
 assert main(["scan-lambda", "--d", "7", "--bound", "500", "--format", "csv"]) == 0
 assert main(["euler-check", "--bound", "200"]) == 0
 assert "tempfile" not in sys.modules
-"""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_cli_startup_leaves_typing_unloaded():
+    # the result types are collections.namedtuple subclasses
+    _run_without_site("""
+from lambda_sieve.cli import build_parser, main
+build_parser()
+assert main(["euler-check", "--bound", "200"]) == 0
+assert "typing" not in sys.modules
+""")
 
 
 def test_workers_help_says_what_it_does(capsys):
@@ -445,6 +512,57 @@ class TestTables:
                 if cmd == "glaisher-table":
                     assert int(row[1]) == r2 % p, p
                 assert row[-1] == ("true" if r2 == 0 else "false"), (cmd, p)
+
+    @pytest.mark.parametrize("cmd", ["euler-check", "glaisher-table"])
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_rows_stream_in_bounded_memory(self, tmp_path, cmd, fmt):
+        # each row is written as it is produced: the peak does not grow with
+        # the row count (about 8300 rows here; 3.5-4.6 MB when buffered)
+        out = ["--format", fmt, "--out", str(tmp_path / "t")]
+        assert main([cmd, "--bound", "200", *out]) == 0  # imports, cached fields
+        tracemalloc.start()
+        try:
+            assert main([cmd, "--bound", "200000", *out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["euler-check", "--bound", "20000"],
+                (
+                    "73c98eb2c5520d627f2bebe47d8a70f226153aa6bc3a235b08c8c6a64fc53a9c",
+                    "4b6c17820a081a21ccdaca0fb0a48e798b429cde27d98696e081c91d5a79fcc4",
+                    "954d88620a2d84eb541d3b46136adf6fbf95addf790dd8d6d4a246fef1ef9e2c",
+                ),
+            ),
+            (
+                ["glaisher-table", "--bound", "20000"],
+                (
+                    "e6ad7b75da7ed066c8a9d204dd0b46c28fb20358ab9839f6109ff6d451845a2d",
+                    "6c82b574476f8efdbd597407b7fa08a8ce993837674feacb868e18c042a6a79f",
+                    "bd93e71b90e4115ae984f690d4fb160d900ddf8d8ceda04e437b38f8b7a16897",
+                ),
+            ),
+            (
+                ["class-numbers", "--bound", "300"],
+                (
+                    "6f8657179833e7701af073581f7254516858ab6c34a19bedf1f67673fa5897b8",
+                    "b8454a04231b52bdbf6e6731c39b02f414f40d162d68d2fe28352a80a10b3331",
+                    "a7676d1dc2a73ec739db654045c76d05b3709d44e0e47c3a80af4c3ede24f4e6",
+                ),
+            ),
+        ],
+    )
+    def test_stdout_digests(self, capsys, argv, digests):
+        # csv, text and json stdout, pinned from the buffered writer's bytes
+        for fmt, digest in zip(("csv", "text", "json"), digests):
+            rc, out = run_cli(capsys, *argv, "--format", fmt)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
     def test_class_numbers(self, capsys):
         rc, out = run_cli(capsys, "class-numbers", "--bound", "30", "--format", "csv")
