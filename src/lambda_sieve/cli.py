@@ -5,13 +5,13 @@ output plumbing: --format {text,csv,json}, --out PATH, and a bound
 guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
 not start a week-long scan.  An --out or --checkpoint path in a missing
 or unwritable directory, an existing file that cannot be written, a
-file name longer than the directory allows, or a --checkpoint file that
-is not a JSON object or lacks a field of its kind, is a usage error
-before any work starts.  Every subcommand accepts --workers, but only
-pell starts processes; output is byte-identical for a given command and
-format regardless of it.  pell and verify are imported by their
-subcommands, so no other subcommand loads the process pool or the
-invariant battery.
+file name longer than the directory allows, one file named by both, or
+a --checkpoint file that is not a JSON object with a string kind or
+lacks a field of its kind, is a usage error before any work starts.
+Every subcommand accepts --workers, but only pell starts processes;
+output is byte-identical for a given command and format regardless of
+it.  pell and verify are imported by their subcommands, so no other
+subcommand loads the process pool or the invariant battery.
 
 Each subcommand hands _emit an iterable of row tuples in _FIELDS order.
 csv and text write the rows as they arrive, 1024 lines a write, so an
@@ -82,10 +82,13 @@ def _int_at_least(low: int):
 
 def _check_paths(parser: argparse.ArgumentParser, args) -> None:
     """Usage error, before any work, for an unwritable --out or --checkpoint
-    path.  An existing --out file is opened in place; a new one, and every
-    checkpoint (replaced by a temporary file beside it), needs its directory."""
-    checkpoint = getattr(args, "checkpoint", None)
-    for flag, path in (("--out", args.out), ("--checkpoint", checkpoint)):
+    path, or one file named by both.  An existing --out file is opened in
+    place; a new one, and every checkpoint (replaced by a temporary file
+    beside it), needs its directory."""
+    out, checkpoint = args.out, getattr(args, "checkpoint", None)
+    if out and checkpoint and os.path.realpath(out) == os.path.realpath(checkpoint):
+        parser.error(f"--out and --checkpoint both name {out}")
+    for flag, path in (("--out", out), ("--checkpoint", checkpoint)):
         if not path:
             continue
         folder = os.path.dirname(os.path.abspath(path))

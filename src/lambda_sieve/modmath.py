@@ -2,11 +2,12 @@
 
 Everything here works with plain Python integers; a residue is an int
 in [0, modulus).  As the bottom layer, this module also holds the
-primitives every route above shares: the prime sieve (prime_flags,
-which sieve_primes slices), the Kronecker symbol, the BPSW primality
-test and the atomic JSON checkpoint I/O of the resumable searches.  The
-process fan-out lives in pell, its one caller, so that no other
-subcommand loads the process-pool machinery.
+primitives every route above shares: the prime sieve (_strike, run by
+prime_flags, by sieve_primes on one residue class and by pell's trial
+tables), the Kronecker symbol, the BPSW primality test and the atomic
+JSON checkpoint I/O of the resumable searches.  The process fan-out
+lives in pell, its one caller, so that no other subcommand loads the
+process-pool machinery.
 
 The import rule of the package: only _kernels imports numpy at module
 level.  The oracle functions import _kernels, and numpy where they index
@@ -130,28 +131,40 @@ def harmonic_mod(n: int, p: int) -> int:
     return int(inv[1:].sum() % p)
 
 
+def _strike(values: range, primes) -> bytearray:
+    """Flags of values: 0 at the multiples q*j, j >= q, of each q in primes
+    that does not divide values.step, else 1.  The one striking loop."""
+    flags = bytearray([1]) * len(values)
+    a, step = values.start, values.step
+    for q in primes:
+        if step % q:  # else q divides every value or none
+            i = len(range(a, q * q, step))  # the values below q*q
+            i += (-a * pow(step, -1, q) - i) % q  # then the first multiple of q
+            flags[i::q] = bytes(len(range(i, len(flags), q)))
+    return flags
+
+
 def prime_flags(n: int) -> bytearray:
     """flags[i] = 1 if i is prime, else 0, for 0 <= i <= n.
 
-    A sieve of Eratosthenes on slices: each prime q <= sqrt(n) clears
-    q*q, q*q + q, ... in one slice assignment.
+    A sieve of Eratosthenes: _strike on range(n + 1) with the primes up
+    to r = isqrt(n), from prime_flags(r), a recursion that ends at r < 2.
     """
-    flags = bytearray([1]) * (n + 1)
+    r = math.isqrt(n)
+    small = compress(range(r + 1), prime_flags(r)) if r > 1 else ()
+    flags = _strike(range(n + 1), small)
     flags[:2] = bytes(min(n + 1, 2))
-    for q in range(2, math.isqrt(n) + 1):
-        if flags[q]:
-            flags[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
     return flags
 
 
 def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
     """The primes p = 1 (mod m) in [lower, upper], increasing.
 
-    Reads every m-th entry of prime_flags(upper), from the least
-    x >= lower with x = 1 (mod m).  lower must be at least 3, so that
-    residue classes mod even m need no special case for 2.  The bounds
-    are checked on the call; the sieve runs when the first prime is
-    asked for.
+    _strike on the x = 1 (mod m) from the least x >= lower with the
+    primes up to sqrt(upper): a byte per x, none below lower.  lower
+    must be at least 3, so that residue classes mod even m need no
+    special case for 2.  The bounds are checked on the call; the sieve
+    runs when the first prime is asked for.
     """
     if lower < 3:
         raise ValueError("lower bound must be at least 3")
@@ -163,8 +176,9 @@ def sieve_primes(lower: int, upper: int, m: int = 1) -> Iterator[int]:
 
 
 def _sieve(lower: int, upper: int, m: int) -> Iterator[int]:
-    first = lower + (1 - lower) % m
-    yield from compress(range(first, upper + 1, m), prime_flags(upper)[first::m])
+    values = range(lower + (1 - lower) % m, upper + 1, m)
+    r = math.isqrt(upper)
+    yield from compress(values, _strike(values, compress(range(r + 1), prime_flags(r))))
 
 
 # is_probable_prime is exact below this bound; pell labels such primes proven
@@ -308,9 +322,9 @@ def _read_checkpoint(
     """decode(payload) of the JSON object at path; None unless its header matches.
 
     decode reads the whole payload up front.  A file at path that is not
-    a JSON object, or whose header matches but that decode cannot read,
-    raises CheckpointError naming path: a KeyError is a missing field, a
-    TypeError or ValueError a malformed one.
+    a JSON object with a string kind, or whose header matches but that
+    decode cannot read, raises CheckpointError naming path: a KeyError
+    is a missing field, a TypeError or ValueError a malformed one.
     """
     if not os.path.exists(path):
         return None
@@ -323,6 +337,8 @@ def _read_checkpoint(
             raise CheckpointError(f"{path} is not a checkpoint: {exc}") from None
     if not isinstance(saved, dict):
         raise CheckpointError(f"{path} is not a checkpoint: not a JSON object")
+    if not isinstance(saved.get("kind"), str):  # say, the CLI's json output
+        raise CheckpointError(f"{path} is not a checkpoint: no field 'kind'")
     if any(saved.get(k) != v for k, v in header.items()):
         return None
     try:

@@ -45,6 +45,7 @@ from itertools import chain, compress, islice
 from .modmath import (
     MR_DETERMINISTIC_BOUND,
     _read_checkpoint,
+    _strike,
     _write_checkpoint,
     is_probable_prime,
     prime_flags,
@@ -89,30 +90,19 @@ def _trial_tables(q: int, bound: int) -> list[int]:
     """The r in (1, bound) with r = 1 (mod 3) and r = +-1 (mod 4q), increasing,
     less those with a prime factor below 200 other than themselves.
 
-    Each of the (one or two) progressions mod lcm(4q, 3) is sieved by
-    the primes 5..199.  Every prime divisor r < bound of u_q / 4 is in
-    the list (module docstring); the composites left, products of primes
-    above 200, are harmless to a search in increasing order: one that
-    divides u_q / 4 has all its prime factors in the same classes and
-    below it, so a prime factor comes first.
+    Each of the (one or two) progressions mod lcm(4q, 3), from its least
+    member above 1, is struck by _strike with the primes 5..199, each
+    from its square on: no r here is divisible by 2 or 3, so an
+    r = p*j < p**2 has a prime factor of j in 5..199, which strikes it.
+    Every prime divisor r < bound of u_q / 4 is in the list (module
+    docstring); a composite left, a product of primes above 200, that
+    divides u_q / 4 has its prime factors in the same classes and below
+    it, so a search in increasing order meets a prime factor first.
     """
     step = math.lcm(4 * q, 3)
-    residues = (*range(1, step, 4 * q), *range(4 * q - 1, step, 4 * q))
-    tried: list[int] = []
-    for c in [c for c in residues if c % 3 == 1]:
-        values = range(c, bound, step)
-        keep = bytearray([1]) * len(values)
-        if c == 1:
-            keep[0] = 0  # 1 is no divisor
-        for p in _SIEVING_PRIMES:
-            if step % p == 0:  # p = q: no r in the class is a multiple
-                continue
-            k = -c * pow(step, -1, p) % p  # the first multiple of p
-            if c + k * step == p:  # keep the prime itself
-                k += p
-            keep[k::p] = bytes(len(range(k, len(keep), p)))
-        tried += compress(values, keep)
-    return sorted(tried)
+    residues = (*range(4 * q + 1, step + 2, 4 * q), *range(4 * q - 1, step, 4 * q))
+    tables = [range(c, bound, step) for c in residues if c % 3 == 1]
+    return sorted(chain(*(compress(t, _strike(t, _SIEVING_PRIMES)) for t in tables)))
 
 
 def _small_factor(n: int, q: int) -> int | None:

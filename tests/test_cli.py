@@ -277,6 +277,10 @@ class TestPathChecks:
         [
             (SEARCHES[0], '{"kind": "scan_exceptional", "m": 3, "start": 3}', "pairs"),
             (SEARCHES[1], '{"kind": "pell_search"}', "n"),
+            # the json envelope of a run whose --out named the checkpoint
+            (SEARCHES[0], '{"schema": "lambda-sieve/v1", "rows": []}', "kind"),
+            (SEARCHES[1], '{"schema": "lambda-sieve/v1", "rows": []}', "kind"),
+            (SEARCHES[1], '{"kind": ["pell_search"], "n": 5}', "kind"),
         ],
     )
     def test_checkpoint_missing_field_is_left_alone(
@@ -289,6 +293,25 @@ class TestPathChecks:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{path} is not a checkpoint: no field {field!r}" in err
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_out_at_the_checkpoint_stops_before_work(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # the output would replace the checkpoint, and the next run exit 2
+        path = tmp_path / "state.json"
+        assert main([*argv, "--checkpoint", str(path)]) == 0
+        text = path.read_text()
+        ran = []
+        for mod, name in ((cli_mod, "scan_exceptional"), (pell_mod, "pell_search")):
+            monkeypatch.setattr(mod, name, lambda *a, **k: ran.append(a))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint", str(path), "--out", f"{tmp_path}/./state.json"])
+        assert exc.value.code == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "both name" in err
         assert path.read_text() == text
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,11 +110,16 @@ class TestPrimes:
         got = list(sieve_primes(3, 2000, 4))
         assert got == [p for p in sympy.primerange(3, 2001) if p % 4 == 1]
 
-    @given(st.integers(min_value=3, max_value=3000), st.integers(min_value=0, max_value=3000))
-    def test_segment_consistency(self, lo, width):
-        sub = set(sieve_primes(lo, lo + width))
-        full = set(sieve_primes(3, lo + width))
-        assert sub == {p for p in full if p >= lo}
+    @given(
+        st.integers(min_value=3, max_value=3000),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=1, max_value=500),
+    )
+    def test_segment_consistency(self, lo, width, m):
+        # each window strikes its own class; the spf table is the oracle
+        primes = _kernels.primes_upto(lo + width)
+        want = [int(p) for p in primes if p >= lo and p % m == 1 % m]
+        assert list(sieve_primes(lo, lo + width, m)) == want
 
     @pytest.mark.parametrize("lo", [3, 2**19 - 1, 2**19, 2**19 + 1])
     def test_segments_match_spf_primes(self, lo):
@@ -131,11 +137,23 @@ class TestPrimes:
             want = [p for p in primes if p % m == 1 % m]
             assert list(sieve_primes(lo, hi, m)) == want, m
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10**5])
+    # n on and next to prime squares, where the primes below sqrt(n) change
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121, 10**5])
     def test_prime_flags_match_spf(self, n):
         spf = _kernels.spf_upto(n)
         want = [int(i >= 2 and spf[i] == i) for i in range(n + 1)]
         assert list(prime_flags(n)) == want
+
+    def test_class_scan_holds_only_its_window(self):
+        # a byte per member of the class in the window, not a table to upper
+        list(sieve_primes(999_000, 10**6, 14))  # imports and caches
+        tracemalloc.start()
+        try:
+            list(sieve_primes(999_000, 10**6, 14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_validation(self):
         # checked on the call, before the first prime is asked for
