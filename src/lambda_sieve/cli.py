@@ -6,12 +6,12 @@ guard read from LAMBDA_SIEVE_MAX_BOUND (default 10**7) so a typo does
 not start a week-long scan.  An --out or --checkpoint path in a missing
 or unwritable directory, an existing file that cannot be written, a
 file name longer than the directory allows, one file named by both, or
-a --checkpoint file that is not a JSON object with a string kind or
-lacks a field of its kind, is a usage error before any work starts.
-Every subcommand accepts --workers, but only pell starts processes;
-output is byte-identical for a given command and format regardless of
-it.  pell and verify are imported by their subcommands, so no other
-subcommand loads the process pool or the invariant battery.
+a --checkpoint file that cannot be read, is not a JSON object with a
+string kind or lacks a field of its kind, is a usage error before any
+work starts.  Every subcommand accepts --workers, but only pell starts
+processes; output is byte-identical for a given command and format
+regardless of it.  pell and verify are imported by their subcommands,
+so no other subcommand loads the process pool or the invariant battery.
 
 Each subcommand hands _emit an iterable of row tuples in _FIELDS order.
 csv and text write the rows as they arrive, 1024 lines a write, so an

@@ -382,7 +382,7 @@ def scan_exceptional(
     first = max(start, 3)
     if bound < first:
         raise ValueError("empty range")
-    primes = list(sieve_primes(first, bound, m))
+    primes = list(sieve_primes(first, bound, math.lcm(2, m)))  # odd p = 1 (mod m)
     pairs: list[tuple[int, int]] = []
     if checkpoint is not None:
         header = {"kind": "scan_exceptional", "m": m, "start": first}

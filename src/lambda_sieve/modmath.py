@@ -321,20 +321,22 @@ def _read_checkpoint(
 ) -> object:
     """decode(payload) of the JSON object at path; None unless its header matches.
 
-    decode reads the whole payload up front.  A file at path that is not
-    a JSON object with a string kind, or whose header matches but that
-    decode cannot read, raises CheckpointError naming path: a KeyError
+    decode reads the whole payload up front.  A file at path that cannot be
+    read, is not a JSON object with a string kind, or matches header but
+    that decode cannot read, raises CheckpointError naming path: a KeyError
     is a missing field, a TypeError or ValueError a malformed one.
     """
     if not os.path.exists(path):
         return None
     import json
 
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             saved = json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
-            raise CheckpointError(f"{path} is not a checkpoint: {exc}") from None
+    except OSError as exc:  # say, no read permission
+        raise CheckpointError(f"{path} cannot be read: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise CheckpointError(f"{path} is not a checkpoint: {exc}") from None
     if not isinstance(saved, dict):
         raise CheckpointError(f"{path} is not a checkpoint: not a JSON object")
     if not isinstance(saved.get("kind"), str):  # say, the CLI's json output

@@ -8,18 +8,19 @@ sequence y_0 = 0, y_1 = 1 with the same recurrence gives the witness
 x = (y_q - 1)/2 tying p to the Pell identity
 (2p)**2 - 3 (2x + 1)**2 = 1.
 
-Trial division tries only r = 1 (mod 3) with r = +-1 (mod 4q).  With
-alpha = 2 + sqrt 3 (norm 1), u_q = alpha**q + alpha**-q, so a prime
-r > 3 dividing u_q has alpha**(2q) = -1 in F_r[sqrt 3].  For an odd
-prime q the order of alpha is then exactly 4q (order 4 would need
-alpha**2 = 7 + 4 sqrt 3 = -1, so r | 8).  If 3 is a square mod r,
-alpha lies in F_r and 4q | r - 1; if not, Frobenius sends alpha to its
-conjugate 1/alpha, so alpha**(r+1) = 1 and 4q | r + 1.  Either way
-r = (3|r) (mod 4q): the law of apparition (D. H. Lehmer, Ann. Math. 31,
-1930).  Then quadratic reciprocity fixes r mod 3: if (3|r) = 1, then
-r = 1 (mod 4) and (r|3) = (3|r) = 1; if (3|r) = -1, then r = 3 (mod 4)
-and (r|3) = -(3|r) = 1.  Either way r = 1 (mod 3).  Neither 2 nor 3
-divides a candidate: u_q / 4 is odd, and u_n = 2, 1, 2, 1, ... (mod 3).
+Trial division tries only r = 1 (mod lcm(4q, 3)).  With alpha = 2 + sqrt 3
+(norm 1), u_q = alpha**q + alpha**-q, so a prime r > 3 dividing u_q has
+alpha**(2q) = -1 in F_r[sqrt 3].  For an odd prime q the order of alpha
+is then exactly 4q (order 4 would need alpha**2 = 7 + 4 sqrt 3 = -1, so
+r | 8).  If 3 is a square mod r, alpha lies in F_r and 4q | r - 1.  If
+not, 4q | r + 1 (D. H. Lehmer, Ann. Math. 31, 1930), so r = 3 (mod 4),
+and gamma = (1 + sqrt 3)/sqrt 2, with gamma**2 = alpha, has order 8q.
+Frobenius flips sqrt 3.  At r = 7 (mod 8) it fixes sqrt 2, so
+gamma**(r+1) = (1 - 3)/2 = -1: (r + 1)/(4q) is odd, so r = 3 (mod 8).
+At r = 3 (mod 8) it flips sqrt 2 too, so gamma**(r+1) = 1: 8q | r + 1,
+so r = 7 (mod 8).  Both contradict, so r = 1 (mod 4q), and reciprocity
+gives (r|3) = (3|r) = 1: r = 1 (mod 3).  Neither 2 nor 3 divides a
+candidate: u_q / 4 is odd, and u_n = 2, 1, 2, 1, ... (mod 3).
 
 The search runs the recurrence once and classifies the candidates in
 order through fan_out, one process pool per search.  Its checkpoint
@@ -87,35 +88,32 @@ def pell_value(q: int) -> int:
 
 
 def _trial_tables(q: int, bound: int) -> list[int]:
-    """The r in (1, bound) with r = 1 (mod 3) and r = +-1 (mod 4q), increasing,
-    less those with a prime factor below 200 other than themselves.
+    """The r in (1, bound) with r = 1 (mod lcm(4q, 3)), increasing, less
+    those with a prime factor below 200 other than themselves.
 
-    Each of the (one or two) progressions mod lcm(4q, 3), from its least
-    member above 1, is struck by _strike with the primes 5..199, each
-    from its square on: no r here is divisible by 2 or 3, so an
-    r = p*j < p**2 has a prime factor of j in 5..199, which strikes it.
-    Every prime divisor r < bound of u_q / 4 is in the list (module
-    docstring); a composite left, a product of primes above 200, that
-    divides u_q / 4 has its prime factors in the same classes and below
-    it, so a search in increasing order meets a prime factor first.
+    _strike strikes the progression with the primes 5..199 from their
+    squares on; no r is divisible by 2 or 3, so an r = p*j < p**2 has a
+    prime factor of j in 5..199.  Every prime divisor r < bound of u_q / 4
+    is listed (module docstring), and a listed composite dividing u_q / 4
+    has its prime factors in the class below it, so an increasing search
+    meets a prime factor first.
     """
     step = math.lcm(4 * q, 3)
-    residues = (*range(4 * q + 1, step + 2, 4 * q), *range(4 * q - 1, step, 4 * q))
-    tables = [range(c, bound, step) for c in residues if c % 3 == 1]
-    return sorted(chain(*(compress(t, _strike(t, _SIEVING_PRIMES)) for t in tables)))
+    table = range(step + 1, bound, step)
+    return [*compress(table, _strike(table, _SIEVING_PRIMES))]
 
 
 def _small_factor(n: int, q: int) -> int | None:
     """The least prime divisor of n = u_q / 4 below the trial bound, or None.
 
     q must be an odd prime: then every prime divisor r of n has
-    r = 1 (mod 3) and r = +-1 (mod 4q) (module docstring), and only
-    those classes, two mod 12q (one mod 12 at q = 3) sieved by
-    _trial_tables, are tried, in increasing order.  The bound is
-    max(TRIAL_DIVISION_BOUND, 10 b**2) for a b-bit n: a composite caught
-    here saves a base-2 Miller-Rabin power, whose cost grows faster with
-    b than that of a trial division.  Over the candidates q <= 1500 in
-    one process, 10 b**2 gave the least classify time; 3 b**2 and
+    r = 1 (mod lcm(4q, 3)) (module docstring), and only that one
+    progression, sieved by _trial_tables, is tried, in increasing order.
+    The bound is max(TRIAL_DIVISION_BOUND, 10 b**2) for a b-bit n: a
+    composite caught here saves a base-2 Miller-Rabin power, whose cost
+    grows faster with b than that of a trial division.  Over the
+    candidates q <= 1500 in one process, with both classes r = +-1
+    (mod 4q) tried, 10 b**2 gave the least classify time; 3 b**2 and
     30 b**2 took 8-13% more, and 100 b**2 37% more.
     """
     bound = max(TRIAL_DIVISION_BOUND, _TRIAL_BITS_FACTOR * n.bit_length() ** 2)

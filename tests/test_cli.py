@@ -11,6 +11,7 @@ import pytest
 import lambda_sieve.cli as cli_mod
 import lambda_sieve.gaussfact as gaussfact_mod
 import lambda_sieve.jacobi as jacobi_mod
+import lambda_sieve.modmath as modmath_mod
 import lambda_sieve.pell as pell_mod
 from lambda_sieve.cli import _FIELDS, main
 from lambda_sieve.pell import PellRecord, pell_value
@@ -293,6 +294,28 @@ class TestPathChecks:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{path} is not a checkpoint: no field {field!r}" in err
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("argv", SEARCHES)
+    def test_unreadable_checkpoint_is_left_alone(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # root reads every file, so the refusal is simulated at open
+        path = tmp_path / "state.json"
+        assert main([*argv, "--checkpoint", str(path)]) == 0
+        text = path.read_text()
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        monkeypatch.setattr(modmath_mod, "open", refuse, raising=False)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"{path} cannot be read: Permission denied" in err
         assert path.read_text() == text
 
     @pytest.mark.parametrize("argv", SEARCHES)

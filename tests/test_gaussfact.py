@@ -229,6 +229,21 @@ class TestScan:
         for v in rows:
             assert v.verdict == (int(v.xi) == 0)
 
+    @pytest.mark.parametrize("m, modulus", [(3, 6), (4, 4), (5, 10)])
+    def test_sieves_the_odd_class(self, m, modulus, monkeypatch):
+        # the odd primes = 1 (mod m) are the primes = 1 (mod lcm(2, m)),
+        # so the even members of the class need no byte of the sieve
+        seen = []
+
+        def recording(lower, upper, k=1):
+            seen.append(k)
+            return sieve_primes(lower, upper, k)
+
+        monkeypatch.setattr(gaussfact, "sieve_primes", recording)
+        rows = scan_exceptional(m, 3000)
+        assert seen == [modulus]
+        assert [v.p for v in rows] == list(sieve_primes(3, 3000, m))
+
     def test_start_offset(self):
         full = scan_exceptional(3, 2000)
         tail = scan_exceptional(3, 2000, start=100)

@@ -109,17 +109,17 @@ class TestTrialDivision:
             for q in qs:
                 table = _trial_tables(q, bound)
                 assert all(a < b for a, b in zip(table, table[1:])), q
-                # nothing outside the classes, and nothing with a prime
-                # factor below 200 but that prime itself
+                # nothing outside the class r = 1 (mod lcm(4q, 3)), none of
+                # the class r = -1 (mod 4q), which holds no divisor, and
+                # nothing with a prime factor below 200 but that prime itself
                 got = np.array(table)
-                res = got % (4 * q)
                 assert (got > 1).all() and (got < bound).all(), q
-                assert ((got % 3 == 1) & ((res == 1) | (res == 4 * q - 1))).all(), q
+                assert (got % math.lcm(4 * q, 3) == 1).all(), q
+                assert not (got % (4 * q) == 4 * q - 1).any(), q
                 for r in small:
                     assert not ((got % r == 0) & (got != r)).any(), (q, r)
-                # every prime of the classes below the bound
-                res = below % (4 * q)
-                want = below[(below % 3 == 1) & ((res == 1) | (res == 4 * q - 1))]
+                # every prime of the class below the bound
+                want = below[below % math.lcm(4 * q, 3) == 1]
                 assert np.isin(want, got).all(), q
 
     @pytest.mark.parametrize(
@@ -136,18 +136,17 @@ class TestTrialDivision:
         # q = 23: 277 and 3037 both divide, so the order of the tries shows
         assert hits == found and _small_factor(pell_value(23), 23) == 277
 
-    def test_prime_divisors_are_plus_minus_one_mod_4q(self):
+    def test_prime_divisors_are_one_mod_lcm_4q_3(self):
         # the Lucas-structure fact the tables rest on, checked directly:
-        # r = +-1 (mod 4q) by the law of apparition, r = 1 (mod 3) by
-        # quadratic reciprocity
+        # r = 1 (mod 4q) since (1 + sqrt 3)/sqrt 2 squares to 2 + sqrt 3,
+        # r = 1 (mod 3) by quadratic reciprocity
         primes = primes_upto(10**5).tolist()
         divisors = 0
         for q in odd_primes_upto(400):
             n = pell_value(q)
             for r in primes:
                 if n % r == 0:
-                    assert r % (4 * q) in (1, 4 * q - 1), (q, r)
-                    assert r % 3 == 1, (q, r)
+                    assert r % math.lcm(4 * q, 3) == 1, (q, r)
                     divisors += 1
         assert divisors == 35
 
